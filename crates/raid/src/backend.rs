@@ -27,7 +27,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read as _, Seek, SeekFrom, Write as _};
+use std::io::Write as _;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use disk_sim::DiskError;
@@ -372,7 +373,9 @@ pub enum JournalRecovery {
 /// state survives reopening. Two durability sidecars ride along:
 /// `undo.journal` (pre-images of an in-flight multi-element write, written
 /// with fsync-then-rename ordering so it is either absent or complete) and
-/// a `rebuild_checkpoint=` line in `volume.meta`.
+/// a `rebuild_checkpoint=` line in `volume.meta`. Every element read and
+/// write is one positioned `pread`/`pwrite` (unix `FileExt`), with no
+/// shared seek cursor.
 pub struct FileBackend {
     dir: PathBuf,
     element_size: usize,
@@ -385,19 +388,60 @@ pub struct FileBackend {
     io_threads: usize,
 }
 
-const JOURNAL_MAGIC: &[u8; 4] = b"HVJ1";
+/// Current undo-journal format: the record body sealed with
+/// [`journal_checksum`].
+const JOURNAL_MAGIC: &[u8; 4] = b"HVJ2";
+/// The previous format, sealed with byte-serial FNV-1a. Still accepted
+/// on reopen, so a journal left by a crash of an older build rolls back.
+const JOURNAL_MAGIC_V1: &[u8; 4] = b"HVJ1";
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// The `HVJ1` checksum: FNV-1a, one byte per multiply.
 fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// The `HVJ2` checksum: FNV-style xor-multiply over little-endian 64-bit
+/// words in four independent lanes (word `i` feeds lane `i mod 4`), so
+/// the multiplies pipeline instead of serializing on one accumulator.
+/// Each step is a bijection of its lane, so any single changed word
+/// always changes the sum; the lanes are then folded together with the
+/// byte length, so a truncation that happens to end on zero padding is
+/// caught too.
+fn journal_checksum(bytes: &[u8]) -> u64 {
+    let mut lanes = [FNV_OFFSET, FNV_OFFSET ^ 1, FNV_OFFSET ^ 2, FNV_OFFSET ^ 3];
+    let mut step = |lane: usize, word: &[u8]| {
+        let mut w = [0u8; 8];
+        w[..word.len()].copy_from_slice(word);
+        lanes[lane] = (lanes[lane] ^ u64::from_le_bytes(w)).wrapping_mul(FNV_PRIME);
+    };
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in block.chunks_exact(8).enumerate() {
+            step(lane, word);
+        }
+    }
+    for (lane, word) in blocks.remainder().chunks(8).enumerate() {
+        step(lane, word);
+    }
+    let mut h = FNV_OFFSET ^ bytes.len() as u64;
+    for lane in lanes {
+        h = (h ^ lane).wrapping_mul(FNV_PRIME);
+        h ^= h >> 32;
     }
     h
 }
 
 fn encode_journal(entries: &[JournalEntry]) -> Vec<u8> {
-    let mut out = Vec::new();
+    let es = entries.first().map_or(0, |e| e.data.len());
+    let mut out = Vec::with_capacity(4 + 4 + entries.len() * (12 + es) + 8);
     out.extend_from_slice(JOURNAL_MAGIC);
     out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
     for e in entries {
@@ -406,19 +450,24 @@ fn encode_journal(entries: &[JournalEntry]) -> Vec<u8> {
         out.extend_from_slice(&(e.data.len() as u32).to_le_bytes());
         out.extend_from_slice(&e.data);
     }
-    let sum = fnv1a64(&out);
+    let sum = journal_checksum(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
 }
 
-/// Parses a journal file; `None` means torn (truncated, bad magic, or
-/// checksum mismatch) — nothing may be applied from it.
+/// Parses a journal file in either format; `None` means torn (truncated,
+/// bad magic, or checksum mismatch) — nothing may be applied from it.
 fn decode_journal(bytes: &[u8], element_size: usize) -> Option<Vec<JournalEntry>> {
-    if bytes.len() < JOURNAL_MAGIC.len() + 4 + 8 || &bytes[..4] != JOURNAL_MAGIC {
+    if bytes.len() < JOURNAL_MAGIC.len() + 4 + 8 {
         return None;
     }
+    let checksum: fn(&[u8]) -> u64 = match &bytes[..4] {
+        m if m == JOURNAL_MAGIC => journal_checksum,
+        m if m == JOURNAL_MAGIC_V1 => fnv1a64,
+        _ => return None,
+    };
     let (body, sum) = bytes.split_at(bytes.len() - 8);
-    if fnv1a64(body) != u64::from_le_bytes(sum.try_into().ok()?) {
+    if checksum(body) != u64::from_le_bytes(sum.try_into().ok()?) {
         return None;
     }
     let mut at = 4;
@@ -580,9 +629,8 @@ impl FileBackend {
                     // Restore straight to the file, bypassing the failure
                     // flag: a pre-image is always the most consistent
                     // content this element can have.
-                    let f = &mut self.files[e.disk];
-                    f.seek(SeekFrom::Start((e.index * self.element_size) as u64))?;
-                    f.write_all(&e.data)?;
+                    let f = &self.files[e.disk];
+                    f.write_all_at(&e.data, (e.index * self.element_size) as u64)?;
                     f.sync_all()?;
                 }
                 JournalRecovery::RolledBack { elements: entries.len() }
@@ -635,9 +683,8 @@ impl DiskBackend for FileBackend {
         if self.failed[disk] {
             return Err(DiskError::DiskFailed { disk });
         }
-        let f = &mut self.files[disk];
-        f.seek(SeekFrom::Start((index * self.element_size) as u64))
-            .and_then(|_| f.read_exact(buf))
+        self.files[disk]
+            .read_exact_at(buf, (index * self.element_size) as u64)
             .map_err(|_| DiskError::Io { disk })
     }
 
@@ -646,9 +693,8 @@ impl DiskBackend for FileBackend {
         if self.failed[disk] {
             return Err(DiskError::DiskFailed { disk });
         }
-        let f = &mut self.files[disk];
-        f.seek(SeekFrom::Start((index * self.element_size) as u64))
-            .and_then(|_| f.write_all(data))
+        self.files[disk]
+            .write_all_at(data, (index * self.element_size) as u64)
             .map_err(|_| DiskError::Io { disk })
     }
 
@@ -658,9 +704,7 @@ impl DiskBackend for FileBackend {
     /// disk stay in submission order, so a read after a write in one
     /// batch observes the write — the same ordering the sequential
     /// default provides.
-    #[cfg(unix)]
     fn submit_batch(&mut self, batch: &[DiskRequest]) -> Vec<DiskCompletion> {
-        use std::os::unix::fs::FileExt;
         let es = self.element_size;
         let mut results: Vec<Option<DiskCompletion>> =
             (0..batch.len()).map(|_| None).collect();
@@ -1643,6 +1687,89 @@ mod tests {
         b.read(0, 1, &mut buf).unwrap();
         assert_eq!(buf, [4u8; 8], "torn journal must not clobber data");
         assert!(!FileBackend::journal_path(&dir).exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The `HVJ1` encoder of the previous build: the same record layout,
+    /// sealed with byte-serial FNV-1a (spelled out here rather than shared
+    /// with the decoder, so the two sides stay independent).
+    fn encode_journal_v1(entries: &[JournalEntry]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(b"HVJ1");
+        out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+        for e in entries {
+            out.extend_from_slice(&(e.disk as u32).to_le_bytes());
+            out.extend_from_slice(&(e.index as u32).to_le_bytes());
+            out.extend_from_slice(&(e.data.len() as u32).to_le_bytes());
+            out.extend_from_slice(&e.data);
+        }
+        let mut sum: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in &out {
+            sum = (sum ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        out.extend_from_slice(&sum.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn file_backend_rolls_back_legacy_hvj1_journal() {
+        let dir = std::env::temp_dir().join(format!("hvraid-j1-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let entries = [
+            JournalEntry { disk: 0, index: 1, data: vec![1u8; 8] },
+            JournalEntry { disk: 2, index: 3, data: (0..8).collect() },
+        ];
+        {
+            // A crash of the previous build mid-write: its journal holds
+            // the pre-images, the elements already hold the new bytes.
+            let mut b = FileBackend::create(&dir, 3, 4, 8).unwrap();
+            b.write(0, 1, &[9u8; 8]).unwrap();
+            b.write(2, 3, &[9u8; 8]).unwrap();
+        }
+        fs::write(FileBackend::journal_path(&dir), encode_journal_v1(&entries)).unwrap();
+        let mut b = FileBackend::open(&dir).unwrap();
+        assert_eq!(b.recovered_journal(), Some(JournalRecovery::RolledBack { elements: 2 }));
+        let mut buf = [0u8; 8];
+        for e in &entries {
+            b.read(e.disk, e.index, &mut buf).unwrap();
+            assert_eq!(buf.as_slice(), e.data.as_slice());
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn damaged_hvj2_journal_is_torn() {
+        let entries = vec![
+            JournalEntry { disk: 0, index: 1, data: (0..8).collect() },
+            JournalEntry { disk: 2, index: 3, data: vec![7u8; 8] },
+        ];
+        let good = encode_journal(&entries);
+        assert_eq!(&good[..4], b"HVJ2");
+        assert_eq!(decode_journal(&good, 8), Some(entries.clone()));
+        for cut in 0..good.len() {
+            assert_eq!(decode_journal(&good[..cut], 8), None, "truncated to {cut} bytes");
+        }
+        for bit in 0..good.len() * 8 {
+            let mut bad = good.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert_eq!(decode_journal(&bad, 8), None, "bit {bit} flipped");
+        }
+
+        // Through a reopen: a bit-flipped journal is discarded, data kept.
+        let dir = std::env::temp_dir().join(format!("hvraid-j2-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        {
+            let mut b = FileBackend::create(&dir, 3, 4, 8).unwrap();
+            b.write(0, 1, &[4u8; 8]).unwrap();
+        }
+        let mut bad = good;
+        bad[20] ^= 0x10;
+        fs::write(FileBackend::journal_path(&dir), bad).unwrap();
+        let mut b = FileBackend::open(&dir).unwrap();
+        assert_eq!(b.recovered_journal(), Some(JournalRecovery::DiscardedTorn));
+        let mut buf = [0u8; 8];
+        b.read(0, 1, &mut buf).unwrap();
+        assert_eq!(buf, [4u8; 8], "damaged journal must not clobber data");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -294,6 +294,11 @@ impl IoPipeline {
     /// cumulative ledger and returned alongside the per-op request sets,
     /// so callers can audit the merge against the receipts.
     ///
+    /// Memory is proportional to the batch, so whole-array passes
+    /// (`RaidVolume::encode_all`, `RaidVolume::rebuild_all`) submit one
+    /// bounded window of stripes per call: the all-or-nothing unit is one
+    /// window, and the rebuild's checkpoint advances between windows.
+    ///
     /// Byte-identical to looping [`IoPipeline::execute`] over the ops:
     /// phases touch the backend in op order, and stripes are independent
     /// (no op reads what another writes).

@@ -35,6 +35,12 @@ use crate::pipeline::{DiskAddr, IoPipeline, LoweredOp};
 /// long before this).
 const MAX_OP_ATTEMPTS: usize = 64;
 
+/// Scratch bytes one window of a whole-array pass ([`RaidVolume::encode_all`],
+/// [`RaidVolume::rebuild_all`]) decodes into. A few MiB keeps memory flat in
+/// the volume size while each window still spreads its journal and
+/// checkpoint fsyncs over many stripes.
+const WINDOW_BYTES: usize = 8 << 20;
+
 /// Lowers `(lost cell, repair chain)` choices — the shape shared by the
 /// degraded-read and single-disk recovery planners — into a compiled
 /// [`XorPlan`]: each cell is rebuilt as the XOR of the other cells of its
@@ -605,13 +611,11 @@ impl RaidVolume {
         }
     }
 
-    /// The partition map batched ops actually execute under: the pinned
-    /// count when set, otherwise one partition per requested thread.
-    fn map_for(&self, threads: usize) -> PartitionMap {
-        match self.partitions {
-            Some(p) => PartitionMap::build(self.stripes, p),
-            None => PartitionMap::build(self.stripes, threads.max(1)),
-        }
+    /// The partition map a batch of `stripes` stripes executes under: the
+    /// pinned count when set, otherwise one partition per requested
+    /// thread.
+    fn map_for(&self, stripes: usize, threads: usize) -> PartitionMap {
+        PartitionMap::build(stripes, self.partitions.unwrap_or(threads.max(1)))
     }
 
     /// The in-flight background rebuild, as its persisted checkpoint
@@ -1828,8 +1832,14 @@ impl RaidVolume {
     }
 
     /// Recomputes every parity of every stripe through the pipeline, with
-    /// the XOR kernels running on up to `threads` workers (the batch
-    /// executor). Requires a healthy array.
+    /// the XOR kernels running on up to `threads` workers. Requires a
+    /// healthy array.
+    ///
+    /// Runs on the windowed driver [`RaidVolume::rebuild_all`] uses: each
+    /// window of stripes commits under its own undo journal, and scratch
+    /// memory stays at one window whatever the volume size. Parity is
+    /// recomputed from data alone, so an interrupted pass needs no
+    /// checkpoint — running it again finishes the job.
     ///
     /// # Errors
     ///
@@ -1843,64 +1853,66 @@ impl RaidVolume {
         let code = Arc::clone(&self.code);
         let layout = code.layout();
 
-        // One lowered op per stripe — data reads, the cached encode plan,
-        // all parity writes — submitted as a single partitioned batch.
+        // One lowered op per stripe: data reads, the cached encode plan,
+        // all parity writes.
         let parities: Vec<Cell> = (0..layout.cols())
             .flat_map(|col| layout.parities_in_col(col))
             .collect();
-        let mut ops = Vec::with_capacity(self.stripes);
-        let mut scratches = Vec::with_capacity(self.stripes);
-        for idx in 0..self.stripes {
-            ops.push(LoweredOp {
-                reads: layout.data_cells().iter().map(|&c| (c, self.addr_of(idx, c))).collect(),
-                plan: Some(layout.encode_plan().clone()),
-                parity_writes: parities.iter().map(|&c| (c, self.addr_of(idx, c))).collect(),
-                ..Default::default()
-            });
-            scratches.push(Stripe::for_layout(layout, self.element_size));
-        }
-        let map = self.map_for(threads);
-        let (_, shards) = self.pipeline.execute_batch(&ops, &mut scratches, &map, threads)?;
-        Ok(IoLedger::merge_shards(self.disks(), shards))
+        let lower = |v: &Self, idx: usize| LoweredOp {
+            reads: layout.data_cells().iter().map(|&c| (c, v.addr_of(idx, c))).collect(),
+            plan: Some(layout.encode_plan().clone()),
+            parity_writes: parities.iter().map(|&c| (c, v.addr_of(idx, c))).collect(),
+            ..Default::default()
+        };
+        self.run_windows(0, threads, lower, |_, _| Ok(()))
     }
 
-    /// Rebuilds every failed disk like [`RaidVolume::rebuild`], but runs
-    /// the decode kernels on up to `threads` workers: surviving elements
-    /// are fetched per stripe, decoded in parallel, and the lost columns
-    /// streamed back — all through the same pipeline.
+    /// Rebuilds every failed disk like [`RaidVolume::rebuild`], but a
+    /// window of stripes at a time with the decode kernels on up to
+    /// `threads` workers: each window's surviving elements are fetched in
+    /// one batch, decoded in parallel, and its lost columns written back
+    /// under the window's own undo journal.
+    ///
+    /// This is the checkpointed rebuild task `rebuild` drives. The
+    /// checkpoint is persisted before the blank spares are swapped in and
+    /// advanced after every window, so a crash leaves the disks failed
+    /// with a resumable checkpoint (finished by [`RaidVolume::rebuild`] or
+    /// another `rebuild_all`), and an active task over exactly the failed
+    /// disks is resumed rather than restarted. Scratch memory is one
+    /// window whatever the volume size.
     ///
     /// # Errors
     ///
     /// Returns [`VolumeError::TooManyFailures`] beyond tolerance, or a
-    /// backend error.
+    /// backend error (the task stays checkpointed at the last committed
+    /// window).
     pub fn rebuild_all(&mut self, threads: usize) -> Result<IoLedger, VolumeError> {
         self.pipeline.begin_op();
         let failed: Vec<usize> = self.failed.iter().copied().collect();
-        let mut receipt = IoLedger::new(self.disks());
         if failed.is_empty() {
-            return Ok(receipt);
+            return Ok(IoLedger::new(self.disks()));
         }
         if failed.len() > 2 {
             return Err(VolumeError::TooManyFailures { failed: failed.len() });
         }
-        self.swap_in_spares(&failed)?;
+        if self.rebuild_task.as_ref().is_none_or(|t| t.disks != failed) {
+            self.start_rebuild(failed.clone())?;
+        }
+        let from = self.rebuild_task.as_ref().map_or(0, |t| t.next_stripe);
         let code = Arc::clone(&self.code);
         let layout = code.layout();
 
-        // One lowered op per stripe — surviving-cell reads, the decode
-        // plan for that stripe's lost-column pattern, lost-column writes —
-        // submitted as a single partitioned batch. Decode plans are
-        // compiled once per pattern (with rotation the failed disks land
-        // on different logical columns per stripe).
-        let mut plan_cache: std::collections::BTreeMap<Vec<usize>, XorPlan> =
+        // One lowered op per stripe: surviving-cell reads, the decode plan
+        // for that stripe's lost-column pattern, lost-column writes.
+        // Decode plans are compiled once per pattern (with rotation the
+        // failed disks land on different logical columns per stripe).
+        let mut plans: std::collections::BTreeMap<Vec<usize>, XorPlan> =
             std::collections::BTreeMap::new();
-        let mut ops = Vec::with_capacity(self.stripes);
-        let mut scratches = Vec::with_capacity(self.stripes);
-        for idx in 0..self.stripes {
+        let lower = |v: &Self, idx: usize| {
             let mut lost_cols: Vec<usize> =
-                failed.iter().map(|&d| self.addressing.logical_col(idx, d)).collect();
+                failed.iter().map(|&d| v.addressing.logical_col(idx, d)).collect();
             lost_cols.sort_unstable();
-            let plan = plan_cache
+            let plan = plans
                 .entry(lost_cols.clone())
                 .or_insert_with(|| {
                     let lost: Vec<Cell> =
@@ -1914,33 +1926,67 @@ impl RaidVolume {
             let mut data_writes = Vec::new();
             let mut parity_writes = Vec::new();
             for col in 0..layout.cols() {
-                if lost_cols.contains(&col) {
-                    for cell in layout.cells_in_col(col) {
-                        let target = (cell, self.addr_of(idx, cell));
-                        if layout.is_data(cell) {
-                            data_writes.push(target);
-                        } else {
-                            parity_writes.push(target);
-                        }
-                    }
-                } else {
-                    for cell in layout.cells_in_col(col) {
-                        reads.push((cell, self.addr_of(idx, cell)));
+                for cell in layout.cells_in_col(col) {
+                    let target = (cell, v.addr_of(idx, cell));
+                    if !lost_cols.contains(&col) {
+                        reads.push(target);
+                    } else if layout.is_data(cell) {
+                        data_writes.push(target);
+                    } else {
+                        parity_writes.push(target);
                     }
                 }
             }
-            ops.push(LoweredOp { reads, plan: Some(plan), data_writes, parity_writes });
-            scratches.push(Stripe::for_layout(layout, self.element_size));
+            LoweredOp { reads, plan: Some(plan), data_writes, parity_writes }
+        };
+        let receipt = self.run_windows(from, threads, lower, |v, end| {
+            let task = v.rebuild_task.as_mut().expect("rebuild task active");
+            task.next_stripe = end;
+            let cp = RebuildCheckpoint { disks: task.disks.clone(), next_stripe: end };
+            v.pipeline.backend_mut().save_checkpoint(Some(&cp))?;
+            Ok(())
+        })?;
+        self.finish_rebuild()?;
+        Ok(receipt)
+    }
+
+    /// Stripes per window of a whole-array pass: [`WINDOW_BYTES`] of
+    /// scratch, but at least one stripe per worker thread.
+    fn window_stripes(&self, threads: usize) -> usize {
+        let layout = self.code.layout();
+        let stripe_bytes = layout.rows() * layout.cols() * self.element_size;
+        (WINDOW_BYTES / stripe_bytes).max(threads).max(1)
+    }
+
+    /// The windowed driver behind [`RaidVolume::encode_all`] and
+    /// [`RaidVolume::rebuild_all`]: lowers stripes `from..` with `lower`
+    /// and runs them a window at a time through
+    /// [`IoPipeline::execute_batch`] — batched reads, partitioned compute
+    /// on `threads` workers, one undo journal per window — reusing one
+    /// window of scratch stripes throughout. `committed(self, end)` runs
+    /// after each window lands. Returns the I/O of every window, merged.
+    fn run_windows(
+        &mut self,
+        from: usize,
+        threads: usize,
+        mut lower: impl FnMut(&Self, usize) -> LoweredOp,
+        mut committed: impl FnMut(&mut Self, usize) -> Result<(), VolumeError>,
+    ) -> Result<IoLedger, VolumeError> {
+        let window = self.window_stripes(threads).min(self.stripes.saturating_sub(from));
+        let mut scratches =
+            vec![Stripe::for_layout(self.code.layout(), self.element_size); window];
+        let mut receipt = IoLedger::new(self.disks());
+        let mut start = from;
+        while start < self.stripes {
+            let end = (start + window).min(self.stripes);
+            let ops: Vec<LoweredOp> = (start..end).map(|idx| lower(self, idx)).collect();
+            let map = self.map_for(end - start, threads);
+            let scratches = &mut scratches[..end - start];
+            let (_, shards) = self.pipeline.execute_batch(&ops, scratches, &map, threads)?;
+            receipt.merge(&IoLedger::merge_shards(self.disks(), shards));
+            committed(self, end)?;
+            start = end;
         }
-        let map = self.map_for(threads);
-        let (_, shards) = self.pipeline.execute_batch(&ops, &mut scratches, &map, threads)?;
-        receipt.merge(&IoLedger::merge_shards(self.disks(), shards));
-        self.failed.clear();
-        // The batch rebuild covered everything, superseding any
-        // checkpointed background task.
-        self.rebuild_task = None;
-        self.pipeline.backend_mut().save_checkpoint(None)?;
-        self.note_health();
         Ok(receipt)
     }
 
@@ -2434,6 +2480,185 @@ mod tests {
             assert!(v.verify_all(), "rotate={rotate}");
             let (bytes, _) = v.read(0, v.data_elements()).unwrap();
             assert_eq!(bytes, data, "rotate={rotate}");
+        }
+    }
+
+    /// Forwards to a [`MemBackend`], recording the largest
+    /// `submit_batch` it is handed.
+    struct BatchSizeProbe {
+        inner: MemBackend,
+        largest: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl DiskBackend for BatchSizeProbe {
+        fn disks(&self) -> usize {
+            self.inner.disks()
+        }
+        fn element_size(&self) -> usize {
+            self.inner.element_size()
+        }
+        fn elements_per_disk(&self) -> usize {
+            self.inner.elements_per_disk()
+        }
+        fn read(&mut self, disk: usize, index: usize, buf: &mut [u8]) -> Result<(), DiskError> {
+            self.inner.read(disk, index, buf)
+        }
+        fn write(&mut self, disk: usize, index: usize, data: &[u8]) -> Result<(), DiskError> {
+            self.inner.write(disk, index, data)
+        }
+        fn submit_batch(
+            &mut self,
+            batch: &[crate::backend::DiskRequest],
+        ) -> Vec<crate::backend::DiskCompletion> {
+            self.largest.fetch_max(batch.len(), std::sync::atomic::Ordering::Relaxed);
+            self.inner.submit_batch(batch)
+        }
+        fn fail(&mut self, disk: usize) -> Result<(), DiskError> {
+            self.inner.fail(disk)
+        }
+        fn replace(&mut self, disk: usize) -> Result<(), DiskError> {
+            self.inner.replace(disk)
+        }
+        fn is_failed(&self, disk: usize) -> bool {
+            self.inner.is_failed(disk)
+        }
+        fn kind(&self) -> &'static str {
+            "probe"
+        }
+    }
+
+    /// HV p=5 with 64 KiB elements: 1 MiB stripes, so a 20-stripe volume
+    /// spans several windows while staying small.
+    const WINDOWED_STRIPES: usize = 20;
+    const WINDOWED_ELEMENT: usize = 64 << 10;
+
+    #[test]
+    fn whole_array_passes_submit_one_window_at_a_time() {
+        use std::sync::atomic::Ordering;
+        let code: Arc<dyn ArrayCode> = Arc::new(HvCode::new(5).unwrap());
+        let layout = code.layout().clone();
+        let (stripes, es) = (WINDOWED_STRIPES, WINDOWED_ELEMENT);
+        let largest = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let probe = BatchSizeProbe {
+            inner: MemBackend::new(layout.cols(), stripes * layout.rows(), es),
+            largest: Arc::clone(&largest),
+        };
+        let mut v = RaidVolume::new(code, stripes, es, Box::new(probe)).unwrap();
+        let window = v.window_stripes(2);
+        assert!(window * 2 < stripes, "the volume must span several windows");
+        let cells = layout.rows() * layout.cols();
+        let data = pattern(v.data_elements() * es, 17);
+        v.write(0, &data).unwrap();
+
+        // encode_all: every stripe's data read once, every parity
+        // rewritten once — the whole-array totals, one window per batch.
+        largest.store(0, Ordering::Relaxed);
+        let enc = v.encode_all(2).unwrap();
+        let s = stripes as u64;
+        assert_eq!(enc.total_reads(), s * layout.num_data_cells() as u64);
+        assert_eq!(enc.data_writes(), 0);
+        assert_eq!(enc.parity_writes(), s * (cells - layout.num_data_cells()) as u64);
+        let biggest = largest.load(Ordering::Relaxed);
+        assert!(biggest > 0 && biggest <= window * cells, "batch of {biggest} requests");
+
+        // rebuild_all of two disks: every survivor read once, both lost
+        // columns written once.
+        v.fail_disk(0).unwrap();
+        v.fail_disk(3).unwrap();
+        largest.store(0, Ordering::Relaxed);
+        let before = v.ledger().clone();
+        let reb = v.rebuild_all(2).unwrap();
+        let rows = layout.rows() as u64;
+        assert_eq!(reb.total_reads(), s * rows * (layout.cols() as u64 - 2));
+        assert_eq!(reb.total_writes(), s * rows * 2);
+        assert_eq!(
+            v.ledger().delta_since(&before).per_disk_totals(),
+            reb.per_disk_totals(),
+            "the cumulative ledger grew by exactly the receipt"
+        );
+        let biggest = largest.load(Ordering::Relaxed);
+        assert!(biggest > 0 && biggest <= window * cells, "batch of {biggest} requests");
+        assert!(v.failed_disks().is_empty() && v.rebuild_progress().is_none());
+        assert!(v.verify_all());
+        assert_eq!(v.read(0, v.data_elements()).unwrap().0, data);
+    }
+
+    #[test]
+    fn crash_mid_rebuild_all_leaves_a_resumable_checkpoint() {
+        use crate::backend::{Fault, FaultyBackend, FileBackend};
+        let code: Arc<dyn ArrayCode> = Arc::new(HvCode::new(5).unwrap());
+        let layout = code.layout().clone();
+        let (stripes, es) = (WINDOWED_STRIPES, WINDOWED_ELEMENT);
+        let lost = [0usize, 3];
+        // Per stripe, the backend serves the survivors' reads, then one
+        // pre-image read and one write per lost element.
+        let reads = (layout.cols() - lost.len()) * layout.rows();
+        let writes = lost.len() * layout.rows();
+        let per_stripe = (reads + 2 * writes) as u64;
+
+        for (case, finish_with_rebuild_all) in [(0usize, false), (1, false), (2, false), (2, true)] {
+            let dir = std::env::temp_dir()
+                .join(format!("hvraid-rball-{case}-{finish_with_rebuild_all}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let data;
+            let window;
+            {
+                let be = FileBackend::create(&dir, layout.cols(), stripes * layout.rows(), es)
+                    .unwrap();
+                let mut v = RaidVolume::new(Arc::clone(&code), stripes, es, Box::new(be)).unwrap();
+                window = v.window_stripes(2);
+                data = pattern(v.data_elements() * es, 23);
+                v.write(0, &data).unwrap();
+                for d in lost {
+                    v.fail_disk(d).unwrap();
+                }
+            }
+            let w = window as u64;
+            let read_phase = w * reads as u64;
+            let pre_phase = w * writes as u64;
+            // Backend op at which the crash fires, and the checkpoint the
+            // reopened volume must resume from.
+            let (crash_at, resume_at) = match case {
+                // While gathering the first window's pre-images: nothing
+                // written yet.
+                0 => (read_phase + pre_phase / 2, 0),
+                // Halfway through the first window's writes: the journal
+                // rolls the window back.
+                1 => (read_phase + pre_phase + pre_phase / 2, 0),
+                // Halfway through the second window's writes.
+                _ => (w * per_stripe + read_phase + pre_phase + pre_phase / 2, window),
+            };
+            {
+                let be = FileBackend::open(&dir).unwrap();
+                let faulty = FaultyBackend::new(Box::new(be), Vec::new())
+                    .with_faults([Fault::CrashAtOp { at_op: crash_at }]);
+                let mut v = RaidVolume::open(Arc::clone(&code), Box::new(faulty), false).unwrap();
+                assert!(
+                    matches!(v.rebuild_all(2), Err(VolumeError::Backend(DiskError::Crashed))),
+                    "case {case}"
+                );
+            }
+            let be = FileBackend::open(&dir).unwrap();
+            let mut v = RaidVolume::open(Arc::clone(&code), Box::new(be), false).unwrap();
+            assert_eq!(v.failed_disks(), lost.to_vec(), "case {case}: disks still failed");
+            let cp = v.rebuild_progress().expect("checkpoint resumed a task");
+            assert_eq!(cp.disks, lost.to_vec(), "case {case}");
+            assert_eq!(cp.next_stripe, resume_at, "case {case}");
+            if finish_with_rebuild_all {
+                // rebuild_all resumes the task: only the stripes past the
+                // checkpoint are read.
+                let receipt = v.rebuild_all(2).unwrap();
+                let left = (stripes - resume_at) as u64;
+                assert_eq!(receipt.total_reads(), left * reads as u64, "case {case}");
+            } else {
+                v.rebuild().unwrap();
+            }
+            assert!(v.failed_disks().is_empty(), "case {case}");
+            assert!(v.rebuild_progress().is_none(), "case {case}");
+            assert!(v.verify_all(), "case {case}");
+            assert_eq!(v.read(0, v.data_elements()).unwrap().0, data, "case {case}");
+            drop(v);
+            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 

@@ -54,15 +54,37 @@ pub enum Request {
     Shutdown,
 }
 
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Marks a byte that is not a hex digit in [`HEX_VALUE`].
+const NOT_HEX: u8 = 0xff;
+
+/// Each byte's hex-digit value (either case), or [`NOT_HEX`].
+const HEX_VALUE: [u8; 256] = {
+    let mut table = [NOT_HEX; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[HEX_DIGITS[i] as usize] = i as u8;
+        table[HEX_DIGITS[i].to_ascii_uppercase() as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Appends `bytes` to `out` as lower-case hex.
+pub fn push_hex(out: &mut Vec<u8>, bytes: &[u8]) {
+    out.reserve(bytes.len() * 2);
+    for &b in bytes {
+        out.extend_from_slice(&[HEX_DIGITS[usize::from(b >> 4)], HEX_DIGITS[usize::from(b & 0xf)]]);
+    }
+}
+
 /// Encodes bytes as lower-case hex.
 #[must_use]
 pub fn to_hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push(char::from_digit(u32::from(b >> 4), 16).expect("nibble"));
-        s.push(char::from_digit(u32::from(b & 0xf), 16).expect("nibble"));
-    }
-    s
+    let mut out = Vec::new();
+    push_hex(&mut out, bytes);
+    String::from_utf8(out).expect("hex digits are ASCII")
 }
 
 /// Decodes lower- or upper-case hex.
@@ -71,14 +93,21 @@ pub fn to_hex(bytes: &[u8]) -> String {
 ///
 /// Returns a message on odd length or a non-hex digit.
 pub fn from_hex(s: &str) -> Result<Vec<u8>, String> {
-    if !s.len().is_multiple_of(2) {
-        return Err(format!("hex payload has odd length {}", s.len()));
+    decode_hex(s.as_bytes())
+}
+
+fn decode_hex(hex: &[u8]) -> Result<Vec<u8>, String> {
+    if !hex.len().is_multiple_of(2) {
+        return Err(format!("hex payload has odd length {}", hex.len()));
     }
-    let digit = |c: char| c.to_digit(16).ok_or_else(|| format!("bad hex digit {c:?}"));
-    let mut out = Vec::with_capacity(s.len() / 2);
-    let mut chars = s.chars();
-    while let (Some(hi), Some(lo)) = (chars.next(), chars.next()) {
-        out.push(((digit(hi)? as u8) << 4) | digit(lo)? as u8);
+    let mut out = Vec::with_capacity(hex.len() / 2);
+    for pair in hex.chunks_exact(2) {
+        let (hi, lo) = (HEX_VALUE[usize::from(pair[0])], HEX_VALUE[usize::from(pair[1])]);
+        if (hi | lo) > 0xf {
+            let bad = if hi > 0xf { pair[0] } else { pair[1] };
+            return Err(format!("bad hex digit {:?}", char::from(bad)));
+        }
+        out.push((hi << 4) | lo);
     }
     Ok(out)
 }
@@ -90,6 +119,33 @@ pub fn from_hex(s: &str) -> Result<Vec<u8>, String> {
 /// Returns a user-facing message on an unknown verb or malformed
 /// arguments.
 pub fn parse(line: &str) -> Result<Request, String> {
+    parse_bytes(line.as_bytes())
+}
+
+/// [`parse`] over raw bytes, as they come off the socket. A `WRITE` is
+/// split into verb, address and payload, and the payload is hex-decoded
+/// in place — it is never scanned for whitespace, copied, or checked as
+/// UTF-8 first.
+///
+/// # Errors
+///
+/// As [`parse`].
+pub fn parse_bytes(line: &[u8]) -> Result<Request, String> {
+    let line = line.trim_ascii();
+    let (verb, rest) = split_word(line);
+    if verb.eq_ignore_ascii_case(b"WRITE") {
+        let (addr, payload) = split_word(rest.trim_ascii_start());
+        if addr.is_empty() {
+            return Err("WRITE: missing <addr>".to_string());
+        }
+        let payload = payload.trim_ascii_start();
+        if payload.is_empty() {
+            return Err("WRITE: missing <hex-payload>".to_string());
+        }
+        let addr = parse_usize(&String::from_utf8_lossy(addr))?;
+        return Ok(Request::Write { addr, data: decode_hex(payload)? });
+    }
+    let line = std::str::from_utf8(line).map_err(|_| "request is not UTF-8".to_string())?;
     let mut parts = line.split_whitespace();
     let verb = parts.next().ok_or("empty request")?;
     let mut arg = |name: &str| {
@@ -108,11 +164,6 @@ pub fn parse(line: &str) -> Result<Request, String> {
             let len = parse_usize(&arg("len")?)?;
             Request::Read { addr, len }
         }
-        "WRITE" => {
-            let addr = parse_usize(&arg("addr")?)?;
-            let data = from_hex(&arg("hex-payload")?)?;
-            Request::Write { addr, data }
-        }
         "FLUSH" => Request::Flush,
         "STATS" => Request::Stats,
         "QUIT" => Request::Quit,
@@ -123,6 +174,13 @@ pub fn parse(line: &str) -> Result<Request, String> {
         return Err(format!("{verb}: unexpected trailing argument {extra:?}"));
     }
     Ok(req)
+}
+
+/// Splits off the first whitespace-delimited word: `(word, rest)`, with
+/// `rest` starting at the delimiter.
+fn split_word(s: &[u8]) -> (&[u8], &[u8]) {
+    let end = s.iter().position(u8::is_ascii_whitespace).unwrap_or(s.len());
+    s.split_at(end)
 }
 
 fn parse_usize(s: &str) -> Result<usize, String> {
@@ -154,6 +212,8 @@ mod tests {
         assert_eq!(from_hex("DEADbeef").unwrap(), vec![0xde, 0xad, 0xbe, 0xef]);
         assert!(from_hex("abc").is_err());
         assert!(from_hex("zz").is_err());
+        assert!(from_hex("0g").is_err());
+        assert!(from_hex("\u{e9}0").is_err(), "non-ASCII bytes are not hex digits");
     }
 
     #[test]
@@ -177,7 +237,16 @@ mod tests {
         assert!(parse("READ 1").is_err());
         assert!(parse("READ 1 2 3").is_err());
         assert!(parse("WRITE x 00").is_err());
+        assert!(parse("WRITE 1").is_err());
+        assert!(parse("WRITE 1 00 ff").is_err(), "one payload word only");
         assert!(parse("NOPE").is_err());
+    }
+
+    #[test]
+    fn write_tolerates_extra_whitespace_and_case() {
+        let want = Request::Write { addr: 7, data: vec![0xab, 0xcd] };
+        assert_eq!(parse("  write\t7   ABcd \r").unwrap(), want);
+        assert_eq!(parse_bytes(b"WRITE 7 abcd\n").unwrap(), want);
     }
 
     #[test]

@@ -572,6 +572,13 @@ impl Service {
         self.element_size
     }
 
+    /// The largest op admission can ever accept, in data elements: a
+    /// full token bucket, and never more than the volume holds.
+    #[must_use]
+    pub fn max_op_elements(&self) -> usize {
+        usize::try_from(self.cfg.bucket_capacity).unwrap_or(usize::MAX).min(self.data_elements)
+    }
+
     fn lock_shared(&self) -> MutexGuard<'_, Shared> {
         self.shared.lock().expect("scheduler state poisoned")
     }

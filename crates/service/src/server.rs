@@ -15,7 +15,7 @@
 //! churning clients (stats scrapes included) don't accrete scheduler
 //! state.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read as _, Write};
 use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -116,7 +116,7 @@ fn request_stop(stop: &AtomicBool, socket: &Path) {
 }
 
 /// Live client connections, force-closable on shutdown: a worker blocked
-/// in `lines()` on an idle client observes EOF instead of keeping
+/// reading an idle client observes EOF instead of keeping
 /// [`serve`]'s thread scope from joining.
 struct ConnRegistry {
     inner: Mutex<RegistryInner>,
@@ -183,86 +183,128 @@ fn serve_connection(svc: &Arc<Service>, stream: UnixStream) -> Outcome {
     outcome
 }
 
-/// The line-in/line-out loop of one connection.
+/// Room a request line needs beyond its hex payload: the verb, the
+/// address and the line ending.
+const LINE_HEADER_BYTES: usize = 64;
+
+/// The longest request line the server reads: a `WRITE` of the largest
+/// op admission can ever accept (hex doubles its bytes) plus its header.
+/// Anything longer could never be served, so it is refused before it is
+/// buffered.
+fn max_line_bytes(svc: &Service) -> usize {
+    svc.max_op_elements()
+        .saturating_mul(svc.element_size())
+        .saturating_mul(2)
+        .saturating_add(LINE_HEADER_BYTES)
+}
+
+/// The line-in/line-out loop of one connection. Requests are read as
+/// bytes up to [`max_line_bytes`]; an oversize line is answered with
+/// `ERR bad-request` and the connection closed. Each reply is rendered
+/// into one reused buffer and sent with a single `write_all`.
 fn connection_loop(
     svc: &Arc<Service>,
     stream: UnixStream,
     session: &mut Option<ServiceHandle>,
 ) -> Outcome {
-    let reader = match stream.try_clone() {
+    let mut reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(_) => return Outcome::Closed,
     };
     let mut writer = stream;
-    for line in reader.lines() {
-        let Ok(line) = line else { return Outcome::Closed };
-        if line.trim().is_empty() {
+    let cap = max_line_bytes(svc);
+    let mut line = Vec::new();
+    let mut out = Vec::new();
+    loop {
+        line.clear();
+        match (&mut reader).take(cap as u64 + 1).read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => return Outcome::Closed,
+            Ok(_) => {}
+        }
+        if line.len() > cap && line.last() != Some(&b'\n') {
+            let reply = format!("ERR bad-request: request line exceeds {cap} bytes\n");
+            let _ = writer.write_all(reply.as_bytes());
+            return Outcome::Closed;
+        }
+        if line.trim_ascii().is_empty() {
             continue;
         }
-        let reply = match proto::parse(&line) {
-            Err(msg) => format!("ERR bad-request: {msg}"),
+        out.clear();
+        let end = match proto::parse_bytes(&line) {
+            Err(msg) => {
+                let _ = writeln!(out, "ERR bad-request: {msg}");
+                None
+            }
             Ok(Request::Quit) => {
-                let _ = writeln!(writer, "OK bye");
-                return Outcome::Closed;
+                out.extend_from_slice(b"OK bye\n");
+                Some(Outcome::Closed)
             }
             Ok(Request::Shutdown) => {
-                let _ = writeln!(writer, "OK shutdown");
-                return Outcome::Shutdown;
+                out.extend_from_slice(b"OK shutdown\n");
+                Some(Outcome::Shutdown)
             }
             Ok(Request::Hello { tenant, class }) => {
                 // Re-HELLO replaces the session; retire the old one.
                 if let Some(old) = session.take() {
                     old.close();
                 }
-                let handle = svc.session(&tenant, class);
-                let reply = format!(
+                *session = Some(svc.session(&tenant, class));
+                let _ = writeln!(
+                    out,
                     "OK session {tenant} elements {} element_size {}",
                     svc.data_elements(),
                     svc.element_size()
                 );
-                *session = Some(handle);
-                reply
+                None
             }
-            Ok(req) => match session.as_ref() {
-                None => "ERR bad-request: HELLO first".to_string(),
-                Some(h) => respond(h, &req),
-            },
+            Ok(req) => {
+                match session.as_ref() {
+                    None => out.extend_from_slice(b"ERR bad-request: HELLO first\n"),
+                    Some(h) => respond(h, &req, &mut out),
+                }
+                None
+            }
         };
-        if writeln!(writer, "{reply}").is_err() {
+        if writer.write_all(&out).is_err() {
             return Outcome::Closed;
         }
+        if let Some(outcome) = end {
+            return outcome;
+        }
     }
-    Outcome::Closed
 }
 
-/// Executes a post-HELLO request and renders the response line(s).
-fn respond(h: &ServiceHandle, req: &Request) -> String {
-    match req {
-        Request::Read { addr, len } => match h.read(*addr, *len) {
-            Ok(bytes) => format!("OK data {}", proto::to_hex(&bytes)),
-            Err(e) => proto::err_line(&e),
-        },
-        Request::Write { addr, data } => match h.write(*addr, data) {
-            Ok(elements) => format!("OK wrote {elements}"),
-            Err(e) => proto::err_line(&e),
-        },
-        Request::Flush => match h.flush() {
-            Ok(()) => "OK flushed".to_string(),
-            Err(e) => proto::err_line(&e),
-        },
+/// Executes a post-HELLO request and appends its response line(s) to
+/// `out`.
+fn respond(h: &ServiceHandle, req: &Request, out: &mut Vec<u8>) {
+    let result = match req {
+        Request::Read { addr, len } => h.read(*addr, *len).map(|bytes| {
+            out.extend_from_slice(b"OK data ");
+            proto::push_hex(out, &bytes);
+        }),
+        Request::Write { addr, data } => {
+            h.write(*addr, data).map(|elements| {
+                let _ = write!(out, "OK wrote {elements}");
+            })
+        }
+        Request::Flush => h.flush().map(|()| out.extend_from_slice(b"OK flushed")),
         Request::Stats => {
             let text = prometheus_text(&h.stats());
-            let mut out = format!("OK stats {}", text.lines().count());
+            let _ = write!(out, "OK stats {}", text.lines().count());
             for l in text.lines() {
-                out.push('\n');
-                out.push_str(l);
+                out.push(b'\n');
+                out.extend_from_slice(l.as_bytes());
             }
-            out
+            Ok(())
         }
         Request::Hello { .. } | Request::Quit | Request::Shutdown => {
             unreachable!("handled by the connection loop")
         }
+    };
+    if let Err(e) = result {
+        out.extend_from_slice(proto::err_line(&e).as_bytes());
     }
+    out.push(b'\n');
 }
 
 /// A scripted client for `hvraid connect` and the smoke gate: sends each
@@ -466,5 +508,59 @@ mod tests {
             .expect("serve() hung on the idle client after SHUTDOWN");
         server.join().unwrap().expect("clean shutdown");
         drop(idle);
+    }
+
+    /// A request line longer than any admissible op is refused with
+    /// `ERR` and its connection closed, without disturbing other clients.
+    #[test]
+    fn oversize_line_is_refused_while_others_are_served() {
+        let code: Arc<dyn ArrayCode> = Arc::new(HvCode::new(5).unwrap());
+        let volume = RaidVolume::in_memory(code, 4, 8);
+        let cfg = ServiceConfig { bucket_capacity: 8, bucket_refill: 8, ..ServiceConfig::default() };
+        let svc = Service::new(volume, cfg);
+        let cap = max_line_bytes(&svc);
+        assert_eq!(cap, 8 * 8 * 2 + LINE_HEADER_BYTES);
+        let socket = temp_socket("oversize");
+        let server = {
+            let svc = Arc::clone(&svc);
+            let cfg = ServerConfig { socket: socket.clone(), workers: 2 };
+            thread::spawn(move || serve(&svc, &cfg))
+        };
+        for _ in 0..200 {
+            if socket.exists() {
+                break;
+            }
+            thread::sleep(std::time::Duration::from_millis(5));
+        }
+
+        let exchange = |conn: &mut UnixStream, reader: &mut BufReader<UnixStream>, req: &str| {
+            writeln!(conn, "{req}").unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            reply
+        };
+        let mut good = UnixStream::connect(&socket).unwrap();
+        let mut good_reader = BufReader::new(good.try_clone().unwrap());
+        assert!(exchange(&mut good, &mut good_reader, "HELLO ok writer").starts_with("OK session"));
+
+        // The largest admissible WRITE still fits under the cap ...
+        let fits = format!("WRITE 0 {}", proto::to_hex(&[0x5a; 64]));
+        assert!(fits.len() < cap);
+        assert_eq!(exchange(&mut good, &mut good_reader, &fits), "OK wrote 8\n");
+
+        // ... a longer line is refused and its connection closed.
+        let mut bad = UnixStream::connect(&socket).unwrap();
+        let mut bad_reader = BufReader::new(bad.try_clone().unwrap());
+        assert!(exchange(&mut bad, &mut bad_reader, "HELLO big writer").starts_with("OK session"));
+        let huge = format!("WRITE 0 {}", "ab".repeat(4 * cap));
+        let reply = exchange(&mut bad, &mut bad_reader, &huge);
+        assert!(reply.starts_with("ERR bad-request"), "got {reply:?}");
+        let mut rest = String::new();
+        assert_eq!(bad_reader.read_line(&mut rest).unwrap(), 0, "connection closed");
+
+        // The other client is still served.
+        assert_eq!(exchange(&mut good, &mut good_reader, "READ 0 1"), "OK data 5a5a5a5a5a5a5a5a\n");
+        assert_eq!(exchange(&mut good, &mut good_reader, "SHUTDOWN"), "OK shutdown\n");
+        server.join().unwrap().expect("clean shutdown");
     }
 }

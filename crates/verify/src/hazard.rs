@@ -301,9 +301,12 @@ fn model_addr(layout: &Layout, stripe: usize, cell: Cell) -> DiskAddr {
     DiskAddr { disk: cell.col, index: stripe * layout.rows() + cell.row }
 }
 
-/// The lowered batch `RaidVolume::encode_all` submits, reconstructed
-/// from the layout alone: per stripe, data-cell reads, the cached encode
-/// plan, and every parity write.
+/// One window of the lowered batches `RaidVolume::encode_all` submits,
+/// reconstructed from the layout alone: per stripe, data-cell reads, the
+/// cached encode plan, and every parity write. The volume runs the array
+/// as a sequence of such windows, each its own `execute_batch`; a later
+/// window is the same batch shifted by whole stripes, so proving one
+/// window covers them all.
 pub fn model_encode_batch(layout: &Layout, stripes: usize) -> Vec<LoweredOp> {
     let parities: Vec<Cell> =
         (0..layout.cols()).flat_map(|col| layout.parities_in_col(col)).collect();
@@ -321,9 +324,11 @@ pub fn model_encode_batch(layout: &Layout, stripes: usize) -> Vec<LoweredOp> {
         .collect()
 }
 
-/// The lowered batch `RaidVolume::rebuild_all` submits for `lost_cols`:
-/// per stripe, surviving-cell reads, the optimized decode plan, and
-/// lost-column writes.
+/// One window of the lowered batches `RaidVolume::rebuild_all` submits
+/// for `lost_cols`: per stripe, surviving-cell reads, the optimized
+/// decode plan, and lost-column writes. As with [`model_encode_batch`],
+/// each window is its own `execute_batch`, so one window is the unit
+/// proven.
 ///
 /// # Panics
 ///

@@ -4,7 +4,10 @@
 //! journal: [`IoPipeline::execute`] journals each op's write targets
 //! before storing them (`PerOp`), and `execute_batch` gathers the
 //! pre-images of **every** op's targets and journals the whole batch as
-//! one unit (`WholeBatch`). The chaos harness samples crash points at
+//! one unit (`WholeBatch`). The volume's whole-array passes call
+//! `execute_batch` once per bounded window of stripes, so the modeled
+//! batch is one window: each window commits or rolls back on its own,
+//! and the rebuild checkpoint only moves past a committed window. The chaos harness samples crash points at
 //! random; this module replaces sampling with a proof: over the same
 //! GF(2) symbolic domain as [`crate::symbolic`] — but with **backend
 //! addresses** as the basis instead of stripe cells — it replays the
@@ -426,8 +429,8 @@ pub struct JournalSummary {
 const MODEL_STRIPES: usize = 3;
 
 /// Proves all-crash-prefix atomicity, in both journal modes, for every
-/// batched path the volume lowers: `encode_all` and `rebuild_all` under
-/// one- and two-column loss.
+/// batched path the volume lowers: one window of `encode_all` and of
+/// `rebuild_all` under one- and two-column loss.
 ///
 /// # Errors
 ///

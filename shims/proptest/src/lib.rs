@@ -128,7 +128,9 @@ macro_rules! prop_oneof {
 }
 
 /// Declares property tests: each `fn name(pat in strategy, ...) { body }`
-/// becomes a `#[test]` running `cases` random cases.
+/// runs `cases` random cases. The caller's attributes are forwarded
+/// as written — as upstream, each property carries its own `#[test]`, so
+/// the macro adds none (a second one would register the test twice).
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -150,7 +152,6 @@ macro_rules! __proptest_impl {
        fn $name:ident($($pat:pat in $strat:expr),+ $(,)?) $body:block)*) => {
         $(
             $(#[$meta])*
-            #[test]
             fn $name() {
                 let __config: $crate::test_runner::ProptestConfig = $cfg;
                 let mut __rng = $crate::test_runner::TestRng::for_test(stringify!($name));
