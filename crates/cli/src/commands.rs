@@ -993,6 +993,7 @@ fn stats(parsed: &Parsed) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use raid_array::testutil::TempDir;
     use crate::args::parse;
     use crate::registry::CODE_NAMES;
 
@@ -1006,8 +1007,8 @@ mod tests {
 
     #[test]
     fn serve_connect_stats_end_to_end() {
-        let tag = std::process::id();
-        let socket = std::env::temp_dir().join(format!("hvraid-cli-serve-{tag}.sock"));
+        let tmp = TempDir::new("hvraid-cli-serve");
+        let socket = tmp.join("hv.sock");
         let sock = socket.to_str().unwrap().to_string();
         let server = std::thread::spawn({
             let sock = sock.clone();
@@ -1027,7 +1028,7 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
 
-        let script_path = std::env::temp_dir().join(format!("hvraid-cli-script-{tag}.txt"));
+        let script_path = tmp.join("script.txt");
         let payload = "aa55".repeat(8); // two 8-byte elements
         std::fs::write(
             &script_path,
@@ -1051,14 +1052,12 @@ mod tests {
             "{metrics}"
         );
 
-        let shutdown_script = std::env::temp_dir().join(format!("hvraid-cli-shutdown-{tag}.txt"));
+        let shutdown_script = tmp.join("shutdown.txt");
         std::fs::write(&shutdown_script, "HELLO cli2 reader\nSHUTDOWN\n").unwrap();
         run_line(&["connect", "--socket", &sock, "--script", shutdown_script.to_str().unwrap()])
             .unwrap();
         let out = server.join().unwrap().unwrap();
         assert!(out.contains("shut down cleanly"), "{out}");
-        let _ = std::fs::remove_file(script_path);
-        let _ = std::fs::remove_file(shutdown_script);
     }
 
     #[test]
@@ -1103,7 +1102,8 @@ mod tests {
 
     #[test]
     fn batch_runs_on_a_file_backend() {
-        let dir = std::env::temp_dir().join("hvraid_batch_file_test");
+        let tmp = TempDir::new("hvraid_batch_file_test");
+        let dir = tmp.path();
         let out = run_line(&[
             "batch", "--code", "hv", "--p", "5", "--stripes", "3", "--element", "32",
             "--backend", "file", "--dir", dir.to_str().unwrap(),
@@ -1111,13 +1111,12 @@ mod tests {
         .unwrap();
         assert!(out.contains("file backend"), "{out}");
         assert!(out.contains("consistent after rebuild: yes"), "{out}");
-        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
     fn volume_lifecycle_and_fsck_round_trip() {
-        let dir = std::env::temp_dir().join("hvraid_volume_test");
-        let _ = std::fs::remove_dir_all(&dir);
+        let tmp = TempDir::new("hvraid_volume_test");
+        let dir = tmp.path();
         let out = run_line(&[
             "volume", "--code", "hv", "--p", "7", "--stripes", "4", "--element", "32",
             "--dir", dir.to_str().unwrap(),
@@ -1128,13 +1127,12 @@ mod tests {
         // The on-disk volume the lifecycle left behind passes fsck.
         let out = run_line(&["fsck", "--dir", dir.to_str().unwrap()]).unwrap();
         assert!(out.contains("volume clean ✔"), "{out}");
-        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
     fn fsck_repairs_a_degraded_on_disk_volume() {
-        let dir = std::env::temp_dir().join("hvraid_fsck_repair_test");
-        let _ = std::fs::remove_dir_all(&dir);
+        let tmp = TempDir::new("hvraid_fsck_repair_test");
+        let dir = tmp.path();
         run_line(&[
             "volume", "--code", "hv", "--p", "5", "--stripes", "3", "--element", "16",
             "--dir", dir.to_str().unwrap(),
@@ -1144,7 +1142,7 @@ mod tests {
         // Fail a disk directly on the reopened backend, as a crash would
         // leave it.
         {
-            let mut b = raid_array::FileBackend::open(&dir).unwrap();
+            let mut b = raid_array::FileBackend::open(dir).unwrap();
             b.fail(1).unwrap();
         }
         let out = run_line(&["fsck", "--dir", dir.to_str().unwrap()]).unwrap();
@@ -1153,13 +1151,12 @@ mod tests {
             run_line(&["fsck", "--dir", dir.to_str().unwrap(), "--repair", "true"]).unwrap();
         assert!(out.contains("rebuilt onto spares"), "{out}");
         assert!(out.contains("repaired, now clean ✔"), "{out}");
-        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
     fn fsck_exit_codes_distinguish_clean_repaired_unrecoverable() {
-        let dir = std::env::temp_dir().join("hvraid_fsck_exit_test");
-        let _ = std::fs::remove_dir_all(&dir);
+        let tmp = TempDir::new("hvraid_fsck_exit_test");
+        let dir = tmp.path();
         run_line(&[
             "volume", "--code", "hv", "--p", "5", "--stripes", "3", "--element", "16",
             "--dir", dir.to_str().unwrap(),
@@ -1174,7 +1171,7 @@ mod tests {
 
         // Degraded, no --repair: errors left uncorrected, exit 3.
         {
-            let mut b = raid_array::FileBackend::open(&dir).unwrap();
+            let mut b = raid_array::FileBackend::open(dir).unwrap();
             b.fail(1).unwrap();
         }
         let (out, status) = run_line_status(&["fsck", "--dir", d]).unwrap();
@@ -1188,13 +1185,12 @@ mod tests {
         assert!(out.contains("repaired, now clean ✔"), "{out}");
         let (_, status) = run_line_status(&["fsck", "--dir", d]).unwrap();
         assert_eq!(status, 0);
-        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
     fn fsck_json_is_machine_readable() {
-        let dir = std::env::temp_dir().join("hvraid_fsck_json_test");
-        let _ = std::fs::remove_dir_all(&dir);
+        let tmp = TempDir::new("hvraid_fsck_json_test");
+        let dir = tmp.path();
         run_line(&[
             "volume", "--code", "hv", "--p", "5", "--stripes", "3", "--element", "16",
             "--dir", dir.to_str().unwrap(),
@@ -1207,7 +1203,6 @@ mod tests {
         assert!(out.contains("\"status\":\"clean\""), "{out}");
         assert!(out.contains("\"journal_recovery\":null"), "{out}");
         assert!(out.contains("\"rebuild_checkpoint\":null"), "{out}");
-        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
@@ -1273,8 +1268,8 @@ mod tests {
 
     #[test]
     fn replay_runs_a_trace_file() {
-        let dir = std::env::temp_dir().join("hvraid_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let tmp = TempDir::new("hvraid_cli_test");
+        let dir = tmp.path();
         let path = dir.join("trace.txt");
         std::fs::write(&path, "# name: demo\n0 5 3\n10 2 1\n").unwrap();
         let out = run_line(&["replay", "--code", "hv", "--trace", path.to_str().unwrap()])
@@ -1287,7 +1282,6 @@ mod tests {
         .unwrap();
         assert!(cached.contains("stripe cache (8 stripes)"), "{cached}");
         assert!(cached.contains("coalesced flushes"), "{cached}");
-        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
@@ -1301,8 +1295,8 @@ mod tests {
     fn layout_spec_round_trips_through_check() {
         let spec = run_line(&["layout", "--code", "hv", "--p", "7", "--format", "spec"]).unwrap();
         assert!(spec.starts_with("layout 6 6\n"));
-        let dir = std::env::temp_dir().join("hvraid_spec_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let tmp = TempDir::new("hvraid_spec_test");
+        let dir = tmp.path();
         let path = dir.join("hv7.layout");
         std::fs::write(&path, &spec).unwrap();
         let out = run_line(&["check", "--spec", path.to_str().unwrap()]).unwrap();
@@ -1315,7 +1309,6 @@ mod tests {
         std::fs::write(&bad_path, bad).unwrap();
         let out = run_line(&["check", "--spec", bad_path.to_str().unwrap()]).unwrap();
         assert!(out.contains("NOT MDS"), "{out}");
-        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

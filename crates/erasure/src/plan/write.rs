@@ -112,7 +112,7 @@ pub fn plan_batched_write(layout: &Layout, ordinals: &[usize]) -> WritePlan {
 ///   most of the chains it touches.
 /// * **FullStripe**: the write covers every data element of the stripe; no
 ///   reads at all, parities are computed from the new data alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WriteMode {
     /// Read-modify-write.
     Rmw,

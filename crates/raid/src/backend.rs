@@ -1324,6 +1324,7 @@ impl VolumeMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::TempDir;
 
     fn roundtrip(backend: &mut dyn DiskBackend) {
         let es = backend.element_size();
@@ -1360,15 +1361,15 @@ mod tests {
 
     #[test]
     fn file_backend_persists_across_reopen() {
-        let dir = std::env::temp_dir().join(format!("hvraid-fb-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
+        let tmp = TempDir::new("hvraid-fb");
+        let dir = tmp.path();
         {
-            let mut b = FileBackend::create(&dir, 3, 4, 8).unwrap();
+            let mut b = FileBackend::create(dir, 3, 4, 8).unwrap();
             roundtrip(&mut b);
             b.fail(2).unwrap();
         }
         {
-            let mut b = FileBackend::open(&dir).unwrap();
+            let mut b = FileBackend::open(dir).unwrap();
             assert_eq!(b.disks(), 3);
             assert_eq!(b.elements_per_disk(), 4);
             assert_eq!(b.element_size(), 8);
@@ -1379,9 +1380,8 @@ mod tests {
             b.replace(2).unwrap();
             assert!(!b.is_failed(2));
         }
-        let b = FileBackend::open(&dir).unwrap();
+        let b = FileBackend::open(dir).unwrap();
         assert!(!b.is_failed(2), "replacement must clear the marker");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     /// A mixed batch touching several disks, including one stale read
@@ -1421,9 +1421,9 @@ mod tests {
 
     #[test]
     fn submit_batch_file_parallel_matches_sequential() {
-        let dir = std::env::temp_dir().join(format!("hvraid-sb-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let mut b = FileBackend::create(&dir, 3, 4, 8).unwrap();
+        let tmp = TempDir::new("hvraid-sb");
+        let dir = tmp.path();
+        let mut b = FileBackend::create(dir, 3, 4, 8).unwrap();
         for threads in [1usize, 2, 4] {
             b.set_io_threads(threads);
             let results = b.submit_batch(&sample_batch(8));
@@ -1440,7 +1440,6 @@ mod tests {
         assert_eq!(results[0], Err(DiskError::DiskFailed { disk: 1 }));
         assert_eq!(results[1], Err(DiskError::Io { disk: 0 }));
         assert_eq!(results[2], Ok(Some(vec![0xBB; 8])));
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1632,10 +1631,10 @@ mod tests {
 
     #[test]
     fn file_backend_journal_rolls_back_on_reopen() {
-        let dir = std::env::temp_dir().join(format!("hvraid-jr-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
+        let tmp = TempDir::new("hvraid-jr");
+        let dir = tmp.path();
         {
-            let mut b = FileBackend::create(&dir, 3, 4, 8).unwrap();
+            let mut b = FileBackend::create(dir, 3, 4, 8).unwrap();
             b.write(0, 1, &[1u8; 8]).unwrap();
             b.write(1, 2, &[2u8; 8]).unwrap();
             // Journal the pre-images, then "crash" after overwriting both
@@ -1650,7 +1649,7 @@ mod tests {
             // …process dies here: no journal_commit.
         }
         {
-            let mut b = FileBackend::open(&dir).unwrap();
+            let mut b = FileBackend::open(dir).unwrap();
             assert_eq!(
                 b.recovered_journal(),
                 Some(JournalRecovery::RolledBack { elements: 2 })
@@ -1662,17 +1661,16 @@ mod tests {
             assert_eq!(buf, [2u8; 8]);
         }
         // Second open: journal is gone, nothing recovered.
-        let b = FileBackend::open(&dir).unwrap();
+        let b = FileBackend::open(dir).unwrap();
         assert_eq!(b.recovered_journal(), None);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn file_backend_discards_torn_journal() {
-        let dir = std::env::temp_dir().join(format!("hvraid-tj-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
+        let tmp = TempDir::new("hvraid-tj");
+        let dir = tmp.path();
         {
-            let mut b = FileBackend::create(&dir, 3, 4, 8).unwrap();
+            let mut b = FileBackend::create(dir, 3, 4, 8).unwrap();
             b.write(0, 1, &[4u8; 8]).unwrap();
         }
         // A journal that lost its tail (crash mid-journal-write without
@@ -1680,14 +1678,13 @@ mod tests {
         let entries = [JournalEntry { disk: 0, index: 1, data: vec![0u8; 8] }];
         let mut bytes = encode_journal(&entries);
         bytes.truncate(bytes.len() - 3);
-        fs::write(FileBackend::journal_path(&dir), bytes).unwrap();
-        let mut b = FileBackend::open(&dir).unwrap();
+        fs::write(FileBackend::journal_path(dir), bytes).unwrap();
+        let mut b = FileBackend::open(dir).unwrap();
         assert_eq!(b.recovered_journal(), Some(JournalRecovery::DiscardedTorn));
         let mut buf = [0u8; 8];
         b.read(0, 1, &mut buf).unwrap();
         assert_eq!(buf, [4u8; 8], "torn journal must not clobber data");
-        assert!(!FileBackend::journal_path(&dir).exists());
-        let _ = fs::remove_dir_all(&dir);
+        assert!(!FileBackend::journal_path(dir).exists());
     }
 
     /// The `HVJ1` encoder of the previous build: the same record layout,
@@ -1713,8 +1710,8 @@ mod tests {
 
     #[test]
     fn file_backend_rolls_back_legacy_hvj1_journal() {
-        let dir = std::env::temp_dir().join(format!("hvraid-j1-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
+        let tmp = TempDir::new("hvraid-j1");
+        let dir = tmp.path();
         let entries = [
             JournalEntry { disk: 0, index: 1, data: vec![1u8; 8] },
             JournalEntry { disk: 2, index: 3, data: (0..8).collect() },
@@ -1722,19 +1719,18 @@ mod tests {
         {
             // A crash of the previous build mid-write: its journal holds
             // the pre-images, the elements already hold the new bytes.
-            let mut b = FileBackend::create(&dir, 3, 4, 8).unwrap();
+            let mut b = FileBackend::create(dir, 3, 4, 8).unwrap();
             b.write(0, 1, &[9u8; 8]).unwrap();
             b.write(2, 3, &[9u8; 8]).unwrap();
         }
-        fs::write(FileBackend::journal_path(&dir), encode_journal_v1(&entries)).unwrap();
-        let mut b = FileBackend::open(&dir).unwrap();
+        fs::write(FileBackend::journal_path(dir), encode_journal_v1(&entries)).unwrap();
+        let mut b = FileBackend::open(dir).unwrap();
         assert_eq!(b.recovered_journal(), Some(JournalRecovery::RolledBack { elements: 2 }));
         let mut buf = [0u8; 8];
         for e in &entries {
             b.read(e.disk, e.index, &mut buf).unwrap();
             assert_eq!(buf.as_slice(), e.data.as_slice());
         }
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1756,49 +1752,46 @@ mod tests {
         }
 
         // Through a reopen: a bit-flipped journal is discarded, data kept.
-        let dir = std::env::temp_dir().join(format!("hvraid-j2-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
+        let tmp = TempDir::new("hvraid-j2");
+        let dir = tmp.path();
         {
-            let mut b = FileBackend::create(&dir, 3, 4, 8).unwrap();
+            let mut b = FileBackend::create(dir, 3, 4, 8).unwrap();
             b.write(0, 1, &[4u8; 8]).unwrap();
         }
         let mut bad = good;
         bad[20] ^= 0x10;
-        fs::write(FileBackend::journal_path(&dir), bad).unwrap();
-        let mut b = FileBackend::open(&dir).unwrap();
+        fs::write(FileBackend::journal_path(dir), bad).unwrap();
+        let mut b = FileBackend::open(dir).unwrap();
         assert_eq!(b.recovered_journal(), Some(JournalRecovery::DiscardedTorn));
         let mut buf = [0u8; 8];
         b.read(0, 1, &mut buf).unwrap();
         assert_eq!(buf, [4u8; 8], "damaged journal must not clobber data");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn file_backend_checkpoint_survives_reopen() {
-        let dir = std::env::temp_dir().join(format!("hvraid-cp-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
+        let tmp = TempDir::new("hvraid-cp");
+        let dir = tmp.path();
         let cp = RebuildCheckpoint { disks: vec![0, 3], next_stripe: 17 };
         {
-            let mut b = FileBackend::create(&dir, 4, 4, 8).unwrap();
+            let mut b = FileBackend::create(dir, 4, 4, 8).unwrap();
             assert_eq!(b.load_checkpoint(), None);
             b.save_checkpoint(Some(&cp)).unwrap();
             assert_eq!(b.load_checkpoint(), Some(cp.clone()));
         }
         {
-            let mut b = FileBackend::open(&dir).unwrap();
+            let mut b = FileBackend::open(dir).unwrap();
             assert_eq!(b.load_checkpoint(), Some(cp));
             b.save_checkpoint(None).unwrap();
         }
-        let b = FileBackend::open(&dir).unwrap();
+        let b = FileBackend::open(dir).unwrap();
         assert_eq!(b.load_checkpoint(), None);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn volume_meta_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("hvraid-vm-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
+        let tmp = TempDir::new("hvraid-vm");
+        let dir = tmp.path();
         let mut meta = VolumeMeta {
             code: "hv".into(),
             p: 7,
@@ -1807,23 +1800,22 @@ mod tests {
             rotate: true,
             rebuild_checkpoint: None,
         };
-        meta.save(&dir).unwrap();
-        assert_eq!(VolumeMeta::load(&dir).unwrap(), meta);
+        meta.save(dir).unwrap();
+        assert_eq!(VolumeMeta::load(dir).unwrap(), meta);
         // The rebuild-checkpoint field round-trips too.
         meta.rebuild_checkpoint =
             Some(RebuildCheckpoint { disks: vec![2, 5], next_stripe: 9 });
-        meta.save(&dir).unwrap();
-        assert_eq!(VolumeMeta::load(&dir).unwrap(), meta);
-        let _ = fs::remove_dir_all(&dir);
+        meta.save(dir).unwrap();
+        assert_eq!(VolumeMeta::load(dir).unwrap(), meta);
     }
 
     #[test]
     fn volume_meta_checkpoint_shared_with_backend_hooks() {
         // The volume writes volume.meta; the backend's save_checkpoint
         // edits only the checkpoint line. Both views must agree.
-        let dir = std::env::temp_dir().join(format!("hvraid-vmcp-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let mut b = FileBackend::create(&dir, 4, 4, 8).unwrap();
+        let tmp = TempDir::new("hvraid-vmcp");
+        let dir = tmp.path();
+        let mut b = FileBackend::create(dir, 4, 4, 8).unwrap();
         let meta = VolumeMeta {
             code: "hv".into(),
             p: 5,
@@ -1832,24 +1824,22 @@ mod tests {
             rotate: false,
             rebuild_checkpoint: None,
         };
-        meta.save(&dir).unwrap();
+        meta.save(dir).unwrap();
         let cp = RebuildCheckpoint { disks: vec![1], next_stripe: 3 };
         b.save_checkpoint(Some(&cp)).unwrap();
-        let loaded = VolumeMeta::load(&dir).unwrap();
+        let loaded = VolumeMeta::load(dir).unwrap();
         assert_eq!(loaded.rebuild_checkpoint, Some(cp));
         assert_eq!(loaded.code, meta.code, "other fields must be preserved");
         b.save_checkpoint(None).unwrap();
-        assert_eq!(VolumeMeta::load(&dir).unwrap(), meta);
-        let _ = fs::remove_dir_all(&dir);
+        assert_eq!(VolumeMeta::load(dir).unwrap(), meta);
     }
 
     #[test]
     fn volume_meta_rejects_bad_files() {
-        let dir = std::env::temp_dir().join(format!("hvraid-vmbad-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
+        let tmp = TempDir::new("hvraid-vmbad");
+        let dir = tmp.path();
         let write = |body: &str| fs::write(dir.join("volume.meta"), body).unwrap();
-        let load_err = || VolumeMeta::load(&dir).unwrap_err().to_string();
+        let load_err = || VolumeMeta::load(dir).unwrap_err().to_string();
 
         write("version=2\ncode=hv\np=5\nstripes=4\nelement_size=8\nrotate=true\n");
         assert!(load_err().contains("unsupported format version 2"), "{}", load_err());
@@ -1874,7 +1864,6 @@ mod tests {
 
         // Legacy pre-versioning files (no version line) still load.
         write("code=hv\np=5\nstripes=4\nelement_size=8\nrotate=true\n");
-        assert!(VolumeMeta::load(&dir).is_ok());
-        let _ = fs::remove_dir_all(&dir);
+        assert!(VolumeMeta::load(dir).is_ok());
     }
 }

@@ -39,6 +39,12 @@ impl Default for CacheConfig {
     }
 }
 
+/// Evicted entries [`StripeCache::remove`] keeps for reuse, so a miss
+/// after an eviction — the steady state of a cache smaller than the
+/// working set — recycles a stripe-sized buffer instead of allocating and
+/// zeroing a new one.
+const SPARE_ENTRIES: usize = 2;
+
 /// One cached stripe: the data elements the cache has seen, with
 /// per-element presence and dirtiness.
 #[derive(Debug, Clone)]
@@ -59,7 +65,16 @@ impl StripeEntry {
         }
     }
 
-    /// The cached bytes of data ordinal `ord` (valid only when present).
+    /// Forgets every element (none present, none dirty) so another
+    /// stripe can reuse the entry. The bytes stay as they were: they are
+    /// unreadable until an ordinal is written or filled again.
+    fn reset(&mut self) {
+        self.present.fill(false);
+        self.dirty.fill(false);
+    }
+
+    /// The cached bytes of data ordinal `ord` (valid only when present:
+    /// a recycled entry still holds another stripe's bytes elsewhere).
     pub(crate) fn element(&self, ord: usize) -> &[u8] {
         &self.data[ord * self.element_size..(ord + 1) * self.element_size]
     }
@@ -126,12 +141,22 @@ pub(crate) struct StripeCache {
     entries: BTreeMap<usize, StripeEntry>,
     /// Stripe indices, least-recently-used first.
     lru: Vec<usize>,
+    /// Evicted entries, emptied, awaiting reuse (at most
+    /// [`SPARE_ENTRIES`]).
+    spare: Vec<StripeEntry>,
 }
 
 impl StripeCache {
     pub(crate) fn new(cfg: CacheConfig, per_stripe: usize, element_size: usize) -> Self {
         assert!(cfg.max_stripes > 0, "cache needs room for at least one stripe");
-        StripeCache { cfg, per_stripe, element_size, entries: BTreeMap::new(), lru: Vec::new() }
+        StripeCache {
+            cfg,
+            per_stripe,
+            element_size,
+            entries: BTreeMap::new(),
+            lru: Vec::new(),
+            spare: Vec::new(),
+        }
     }
 
     pub(crate) fn config(&self) -> CacheConfig {
@@ -152,12 +177,17 @@ impl StripeCache {
         self.entries.get(&stripe)
     }
 
-    /// The entry for `stripe`, created empty if absent, promoted to
-    /// most-recently-used either way.
+    /// The entry for `stripe`, promoted to most-recently-used. An absent
+    /// stripe gets an empty entry (nothing present, nothing dirty): an
+    /// evicted one [`StripeCache::remove`] kept, its stale bytes left in
+    /// place rather than zeroed, else a new one.
     pub(crate) fn ensure(&mut self, stripe: usize) -> &mut StripeEntry {
         self.promote(stripe);
         let (per, es) = (self.per_stripe, self.element_size);
-        self.entries.entry(stripe).or_insert_with(|| StripeEntry::new(per, es))
+        let spare = &mut self.spare;
+        self.entries
+            .entry(stripe)
+            .or_insert_with(|| spare.pop().unwrap_or_else(|| StripeEntry::new(per, es)))
     }
 
     /// Moves `stripe` to the most-recently-used position.
@@ -181,9 +211,17 @@ impl StripeCache {
         }
     }
 
-    /// Drops `stripe` entirely (eviction).
+    /// Drops `stripe` entirely (eviction). Its entry is kept for reuse
+    /// by the next [`StripeCache::ensure`] of an absent stripe while
+    /// fewer than [`SPARE_ENTRIES`] are kept. The caller must flush a
+    /// dirty entry first: its unflushed data is discarded.
     pub(crate) fn remove(&mut self, stripe: usize) {
-        self.entries.remove(&stripe);
+        if let Some(mut entry) = self.entries.remove(&stripe) {
+            if self.spare.len() < SPARE_ENTRIES {
+                entry.reset();
+                self.spare.push(entry);
+            }
+        }
         self.lru.retain(|&s| s != stripe);
     }
 
@@ -336,6 +374,46 @@ mod tests {
         c.remove(2);
         assert_eq!(c.len(), 2);
         assert_eq!(c.oldest_clean(), Some(1));
+    }
+
+    #[test]
+    fn a_recycled_entry_starts_empty_and_never_serves_old_bytes() {
+        let mut c = StripeCache::new(CacheConfig { max_stripes: 1, dirty_high_water: 1 }, 3, 4);
+        let a = c.ensure(0);
+        a.write(0, &[0xA1; 4]);
+        a.fill(1, &[0xA2; 4]);
+        a.mark_clean();
+        a.write(2, &[0xA3; 4]);
+        c.remove(0);
+        assert_eq!(c.spare.len(), 1, "the evicted entry is kept for reuse");
+
+        let b = c.ensure(1);
+        assert!((0..3).all(|o| !b.is_present(o) && !b.is_clean(o)));
+        assert!(!b.is_dirty() && b.dirty_ordinals().is_empty());
+        assert!(c.spare.is_empty(), "stripe 1 reused the evicted entry");
+
+        // B's own elements read back as written; the ordinal it never
+        // wrote stays absent rather than exposing A's bytes.
+        let b = c.ensure(1);
+        b.fill(0, &[0xB1; 4]);
+        b.write(2, &[0xB3; 4]);
+        assert_eq!((b.element(0), b.element(2)), (&[0xB1; 4][..], &[0xB3; 4][..]));
+        assert!(!b.is_present(1));
+        assert_eq!(b.dirty_ordinals(), vec![2]);
+        assert_eq!(c.dirty_stripes(), vec![1]);
+        assert!(c.get(0).is_none());
+    }
+
+    #[test]
+    fn at_most_spare_entries_are_kept() {
+        let mut c = StripeCache::new(CacheConfig::default(), 2, 4);
+        for s in 0..5 {
+            c.ensure(s);
+        }
+        for s in 0..5 {
+            c.remove(s);
+        }
+        assert_eq!((c.len(), c.spare.len()), (0, SPARE_ENTRIES));
     }
 
     #[test]

@@ -945,6 +945,7 @@ fn crash_dirty_cache_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::TempDir;
     use hv_code::HvCode;
 
     fn code() -> Arc<dyn ArrayCode> {
@@ -1031,10 +1032,10 @@ mod tests {
 
     #[test]
     fn file_campaign_with_crash_sweeps_smoke() {
-        let dir = std::env::temp_dir().join(format!("hv-chaos-{}", std::process::id()));
+        let dir = TempDir::new("hv-chaos");
         let cfg = ChaosConfig {
             episodes: 3,
-            dir: Some(dir.clone()),
+            dir: Some(dir.path().to_path_buf()),
             crash_sweeps: true,
             ..Default::default()
         };
@@ -1047,6 +1048,5 @@ mod tests {
             report.dirty_cache_crash_points > 0,
             "the dirty-cache sweep must exercise crash points mid-flush"
         );
-        let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -24,7 +24,8 @@
 //! stripes on those partitioned workers; [`replay`] drives a volume +
 //! simulator pair from workload traces. [`cache`] adds the write-back
 //! stripe cache that coalesces co-located element writes into single
-//! journal-atomic flushes sharing parity I/O.
+//! journal-atomic flushes sharing parity I/O. The volume plans each op
+//! shape once and reuses the plan (see DESIGN.md §17).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,11 +37,14 @@ pub mod batch;
 pub mod cache;
 pub mod chaos;
 pub mod health;
+mod memo;
 pub mod mttr;
 pub mod partition;
 pub mod pipeline;
 pub mod reliability;
 pub mod replay;
+#[doc(hidden)]
+pub mod testutil;
 pub mod volume;
 
 pub use addr::Addressing;

@@ -27,6 +27,7 @@ use crate::addr::Addressing;
 use crate::backend::{DiskBackend, FaultyBackend, MemBackend, RebuildCheckpoint};
 use crate::cache::{batched_write_steps, CacheConfig, StripeCache};
 use crate::health::{HealthMonitor, HealthState, RecoveryAction};
+use crate::memo::{PlanMemo, ReadShape, WriteShape};
 use crate::partition::PartitionMap;
 use crate::pipeline::{DiskAddr, IoPipeline, LoweredOp};
 
@@ -58,6 +59,60 @@ fn compile_chain_repairs(layout: &Layout, repairs: &[(Cell, ChainId)]) -> XorPla
         repairs.iter().zip(&sources).map(|((cell, _), src)| (*cell, src.as_slice())),
     )
     .optimized()
+}
+
+/// The decode program that rebuilds every cell of the lost logical
+/// columns `cols` from the surviving ones.
+///
+/// # Panics
+///
+/// Panics if the code cannot repair `cols` (more than two columns).
+fn decode_program(layout: &Layout, cols: &[usize]) -> XorPlan {
+    let lost: Vec<Cell> = cols.iter().flat_map(|&c| layout.cells_in_col(c)).collect();
+    let decode_plan =
+        decoder::plan_decode(layout, &lost).expect("RAID-6 code repairs up to two columns");
+    XorPlan::compile_decode(layout, &decode_plan).optimized()
+}
+
+/// Plans a degraded read of data ordinals `start..start + len` of one
+/// stripe with one or two logical columns `failed`: a single failure
+/// repairs each lost cell along its cheapest chain, a double failure
+/// reconstructs only the requested cells' dependency slice.
+fn plan_read_shape(layout: &Layout, failed: &[usize], start: usize, len: usize) -> ReadShape {
+    let requested = &layout.data_cells()[start..start + len];
+    if let [col] = failed {
+        let plan = plan_degraded_read(layout, *col, requested);
+        let xor = compile_chain_repairs(layout, &plan.repairs);
+        return ReadShape { fetched: plan.fetched, plan: xor };
+    }
+    let plan = plan_degraded_read_multi(layout, failed, requested)
+        .expect("RAID-6 code repairs any two columns");
+    let xor = XorPlan::from_steps(
+        layout.rows(),
+        layout.cols(),
+        plan.steps.iter().map(|s| (s.target, s.sources.as_slice())),
+    )
+    .optimized();
+    ReadShape { fetched: plan.fetched, plan: xor }
+}
+
+/// Plans an uncached healthy write of data ordinals `start..start + len`
+/// of one stripe: the cheaper of read-modify-write and reconstruct-write,
+/// with the parity math over a double-height scratch.
+fn plan_write_shape(layout: &Layout, start: usize, len: usize) -> WriteShape {
+    let plan = plan_partial_write(layout, start, len);
+    let cost = write_cost(layout, &plan);
+    let steps = batched_write_steps(layout, &plan, cost.cheaper);
+    let xor = XorPlan::from_steps(
+        2 * layout.rows(),
+        layout.cols(),
+        steps.iter().map(|(t, s)| (*t, s.as_slice())),
+    );
+    let reads = match cost.cheaper {
+        WriteMode::Rmw => cost.rmw_reads,
+        WriteMode::Reconstruct | WriteMode::FullStripe => cost.reconstruct_reads,
+    };
+    WriteShape { plan, reads, xor }
 }
 
 /// Errors from volume operations.
@@ -183,6 +238,8 @@ pub struct RaidVolume {
     /// Explicit stripe-partition count for batched execution; `None`
     /// derives one from the host's available parallelism.
     partitions: Option<usize>,
+    /// Per-op plans memoized by op shape (see [`crate::memo`]).
+    memo: PlanMemo,
 }
 
 /// In-memory mirror of the persisted [`RebuildCheckpoint`].
@@ -333,6 +390,7 @@ impl RaidVolume {
             write_fence: false,
             cache: None,
             partitions: None,
+            memo: PlanMemo::default(),
         };
         volume.resume_rebuild_checkpoint()?;
         volume.note_health();
@@ -887,6 +945,13 @@ impl RaidVolume {
         }
     }
 
+    /// The memoized decode program for the lost logical columns `cols`.
+    fn decode_for(&mut self, cols: &[usize]) -> XorPlan {
+        let code = Arc::clone(&self.code);
+        let make = |cols: &Vec<usize>| decode_program(code.layout(), cols);
+        XorPlan::clone(&self.memo.decodes.get_or_make(cols.to_vec(), make))
+    }
+
     /// Whether `disk` must be treated as failed for operations touching
     /// `stripe`. A disk under rebuild is failed only ahead of the rebuild
     /// frontier: stripes below `next_stripe` are fully reconstructed on the
@@ -1157,8 +1222,12 @@ impl RaidVolume {
         let rows = layout.rows();
         let data_cells = layout.data_cells();
         let dirty = entry.dirty_ordinals();
-        let plan = plan_batched_write(layout, &dirty);
-        let cost = write_cost(layout, &plan);
+        let planned = self.memo.flushes.get_or_make(dirty.clone(), |dirty| {
+            let plan = plan_batched_write(layout, dirty);
+            let cost = write_cost(layout, &plan);
+            (plan, cost)
+        });
+        let (plan, cost) = &*planned;
 
         // Split reconstruct reads into cache fills (clean resident data)
         // and true disk reads.
@@ -1196,17 +1265,14 @@ impl RaidVolume {
             }
         };
 
-        let steps = batched_write_steps(layout, &plan, mode);
+        let xor = self.memo.flush_xors.get_or_make((dirty, mode), |(_, mode)| {
+            let steps = batched_write_steps(layout, plan, *mode);
+            let steps = steps.iter().map(|(t, s)| (*t, s.as_slice()));
+            XorPlan::from_steps(2 * rows, layout.cols(), steps).optimized()
+        });
         let op = LoweredOp {
             reads: reads.iter().map(|&c| (c, self.addr_of(stripe, c))).collect(),
-            plan: Some(
-                XorPlan::from_steps(
-                    2 * rows,
-                    layout.cols(),
-                    steps.iter().map(|(t, s)| (*t, s.as_slice())),
-                )
-                .optimized(),
-            ),
+            plan: Some(XorPlan::clone(&xor)),
             data_writes: plan
                 .data_writes
                 .iter()
@@ -1244,8 +1310,6 @@ impl RaidVolume {
         let code = Arc::clone(&self.code);
         let layout = code.layout();
         let failed_cols = self.failed_cols(stripe);
-        let lost: Vec<Cell> =
-            failed_cols.iter().flat_map(|&c| layout.cells_in_col(c)).collect();
 
         let mut reads = Vec::new();
         for col in 0..layout.cols() {
@@ -1256,13 +1320,8 @@ impl RaidVolume {
                 reads.push((cell, self.addr_of(stripe, cell)));
             }
         }
-        let decode_plan = decoder::plan_decode(layout, &lost)
-            .expect("RAID-6 code repairs up to two columns");
-        let fetch = LoweredOp {
-            reads,
-            plan: Some(XorPlan::compile_decode(layout, &decode_plan).optimized()),
-            ..Default::default()
-        };
+        let plan = Some(self.decode_for(&failed_cols));
+        let fetch = LoweredOp { reads, plan, ..Default::default() };
         let mut scratch = Stripe::for_layout(layout, self.element_size);
         let mut receipt = IoLedger::new(self.disks());
         let rs = self.pipeline.execute(&fetch, &mut scratch)?;
@@ -1315,12 +1374,10 @@ impl RaidVolume {
         let mut receipt = IoLedger::new(self.disks());
         let mut offset = 0usize;
         for seg in self.addressing.split(start, len) {
-            let plan = plan_partial_write(layout, seg.start, seg.len);
-            let cost = write_cost(layout, &plan);
-            let reads: &[Cell] = match cost.cheaper {
-                WriteMode::Rmw => &cost.rmw_reads,
-                WriteMode::Reconstruct | WriteMode::FullStripe => &cost.reconstruct_reads,
-            };
+            let shape = self.memo.writes.get_or_make((seg.start, seg.len), |&(start, len)| {
+                plan_write_shape(layout, start, len)
+            });
+            let plan = &shape.plan;
 
             // Scratch: old values in the lower half, new values above.
             let up = |c: Cell| Cell::new(c.row + rows, c.col);
@@ -1330,15 +1387,9 @@ impl RaidVolume {
                 scratch.set_element(up(cell), &data[at..at + self.element_size]);
             }
 
-            let steps = batched_write_steps(layout, &plan, cost.cheaper);
-
             let op = LoweredOp {
-                reads: reads.iter().map(|&c| (c, self.addr_of(seg.stripe, c))).collect(),
-                plan: Some(XorPlan::from_steps(
-                    2 * rows,
-                    layout.cols(),
-                    steps.iter().map(|(t, s)| (*t, s.as_slice())),
-                )),
+                reads: shape.reads.iter().map(|&c| (c, self.addr_of(seg.stripe, c))).collect(),
+                plan: Some(shape.xor.clone()),
                 data_writes: plan
                     .data_writes
                     .iter()
@@ -1375,8 +1426,6 @@ impl RaidVolume {
         let mut offset = 0usize;
         for seg in self.addressing.split(start, len) {
             let failed_cols = self.failed_cols(seg.stripe);
-            let lost: Vec<Cell> =
-                failed_cols.iter().flat_map(|&c| layout.cells_in_col(c)).collect();
 
             // Op A: fetch every surviving element, decode the lost ones.
             let mut reads = Vec::new();
@@ -1388,13 +1437,8 @@ impl RaidVolume {
                     reads.push((cell, self.addr_of(seg.stripe, cell)));
                 }
             }
-            let decode_plan = decoder::plan_decode(layout, &lost)
-                .expect("RAID-6 code repairs up to two columns");
-            let fetch = LoweredOp {
-                reads,
-                plan: Some(XorPlan::compile_decode(layout, &decode_plan).optimized()),
-                ..Default::default()
-            };
+            let plan = Some(self.decode_for(&failed_cols));
+            let fetch = LoweredOp { reads, plan, ..Default::default() };
             let mut scratch = Stripe::for_layout(layout, self.element_size);
             let rs = self.pipeline.execute(&fetch, &mut scratch)?;
             receipt.absorb(&rs);
@@ -1566,43 +1610,16 @@ impl RaidVolume {
                     requested.iter().map(|&c| (c, self.addr_of(seg.stripe, c))).collect(),
                 )
             } else {
-                match failed_cols.len() {
-                    1 => {
-                        let plan = plan_degraded_read(layout, failed_cols[0], &requested);
-                        LoweredOp {
-                            reads: plan
-                                .fetched
-                                .iter()
-                                .map(|&c| (c, self.addr_of(seg.stripe, c)))
-                                .collect(),
-                            plan: Some(compile_chain_repairs(layout, &plan.repairs)),
-                            ..Default::default()
-                        }
-                    }
-                    2 => {
-                        // Double-degraded read: reconstruct only the
-                        // requested cells' dependency slice.
-                        let plan = plan_degraded_read_multi(layout, &failed_cols, &requested)
-                            .expect("RAID-6 code repairs any two columns");
-                        LoweredOp {
-                            reads: plan
-                                .fetched
-                                .iter()
-                                .map(|&c| (c, self.addr_of(seg.stripe, c)))
-                                .collect(),
-                            plan: Some(
-                                XorPlan::from_steps(
-                                    layout.rows(),
-                                    layout.cols(),
-                                    plan.steps.iter().map(|s| (s.target, s.sources.as_slice())),
-                                )
-                                .optimized(),
-                            ),
-                            ..Default::default()
-                        }
-                    }
-                    n => return Err(VolumeError::TooManyFailures { failed: n }),
+                if failed_cols.len() > 2 {
+                    return Err(VolumeError::TooManyFailures { failed: failed_cols.len() });
                 }
+                let shape = self.memo.reads.get_or_make(
+                    (failed_cols, seg.start, seg.len),
+                    |(failed, start, len)| plan_read_shape(layout, failed, *start, *len),
+                );
+                let reads =
+                    shape.fetched.iter().map(|&c| (c, self.addr_of(seg.stripe, c))).collect();
+                LoweredOp { reads, plan: Some(shape.plan.clone()), ..Default::default() }
             };
             let mut scratch = Stripe::for_layout(layout, self.element_size);
             let rs = self.pipeline.execute(&op, &mut scratch)?;
@@ -1784,10 +1801,9 @@ impl RaidVolume {
                 plan.reads.iter().map(|&c| (c, self.addr_of(idx, c))).collect();
             (reads, compile_chain_repairs(layout, &plan.choices))
         } else {
-            let lost: Vec<Cell> =
-                failed_cols.iter().flat_map(|&c| layout.cells_in_col(c)).collect();
-            let decode_plan = decoder::plan_decode(layout, &lost)
-                .map_err(|_| VolumeError::TooManyFailures { failed: failed_cols.len() })?;
+            if failed_cols.len() > 2 {
+                return Err(VolumeError::TooManyFailures { failed: failed_cols.len() });
+            }
             let mut reads = Vec::new();
             for col in 0..layout.cols() {
                 if failed_cols.contains(&col) {
@@ -1797,7 +1813,7 @@ impl RaidVolume {
                     reads.push((cell, self.addr_of(idx, cell)));
                 }
             }
-            (reads, XorPlan::compile_decode(layout, &decode_plan).optimized())
+            (reads, self.decode_for(&failed_cols))
         };
 
         let mut data_writes = Vec::new();
@@ -1914,13 +1930,7 @@ impl RaidVolume {
             lost_cols.sort_unstable();
             let plan = plans
                 .entry(lost_cols.clone())
-                .or_insert_with(|| {
-                    let lost: Vec<Cell> =
-                        lost_cols.iter().flat_map(|&c| layout.cells_in_col(c)).collect();
-                    let decode_plan = decoder::plan_decode(layout, &lost)
-                        .expect("RAID-6 code repairs up to two columns");
-                    XorPlan::compile_decode(layout, &decode_plan).optimized()
-                })
+                .or_insert_with(|| decode_program(layout, &lost_cols))
                 .clone();
             let mut reads = Vec::new();
             let mut data_writes = Vec::new();
@@ -2170,6 +2180,13 @@ impl RaidVolume {
             .expect("corruption target must be writable");
     }
 
+    /// Forgets every memoized plan, so the next op of each shape plans
+    /// from scratch.
+    #[cfg(test)]
+    fn clear_plan_memo(&mut self) {
+        self.memo = PlanMemo::default();
+    }
+
     fn check_range(&self, start: usize, len: usize) -> Result<(), VolumeError> {
         if start + len > self.data_elements() {
             return Err(VolumeError::OutOfRange { start, len, capacity: self.data_elements() });
@@ -2193,6 +2210,7 @@ impl Drop for RaidVolume {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::TempDir;
     use hv_code::HvCode;
     use raid_baselines::{HCode, RdpCode, XCode};
 
@@ -2597,13 +2615,12 @@ mod tests {
         let per_stripe = (reads + 2 * writes) as u64;
 
         for (case, finish_with_rebuild_all) in [(0usize, false), (1, false), (2, false), (2, true)] {
-            let dir = std::env::temp_dir()
-                .join(format!("hvraid-rball-{case}-{finish_with_rebuild_all}-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
+            let tmp = TempDir::new("hvraid-rball");
+            let dir = tmp.path();
             let data;
             let window;
             {
-                let be = FileBackend::create(&dir, layout.cols(), stripes * layout.rows(), es)
+                let be = FileBackend::create(dir, layout.cols(), stripes * layout.rows(), es)
                     .unwrap();
                 let mut v = RaidVolume::new(Arc::clone(&code), stripes, es, Box::new(be)).unwrap();
                 window = v.window_stripes(2);
@@ -2629,7 +2646,7 @@ mod tests {
                 _ => (w * per_stripe + read_phase + pre_phase + pre_phase / 2, window),
             };
             {
-                let be = FileBackend::open(&dir).unwrap();
+                let be = FileBackend::open(dir).unwrap();
                 let faulty = FaultyBackend::new(Box::new(be), Vec::new())
                     .with_faults([Fault::CrashAtOp { at_op: crash_at }]);
                 let mut v = RaidVolume::open(Arc::clone(&code), Box::new(faulty), false).unwrap();
@@ -2638,7 +2655,7 @@ mod tests {
                     "case {case}"
                 );
             }
-            let be = FileBackend::open(&dir).unwrap();
+            let be = FileBackend::open(dir).unwrap();
             let mut v = RaidVolume::open(Arc::clone(&code), Box::new(be), false).unwrap();
             assert_eq!(v.failed_disks(), lost.to_vec(), "case {case}: disks still failed");
             let cp = v.rebuild_progress().expect("checkpoint resumed a task");
@@ -2658,7 +2675,6 @@ mod tests {
             assert!(v.verify_all(), "case {case}");
             assert_eq!(v.read(0, v.data_elements()).unwrap().0, data, "case {case}");
             drop(v);
-            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 
@@ -2902,13 +2918,13 @@ mod tests {
     #[test]
     fn crash_interrupted_rebuild_resumes_from_checkpoint() {
         use crate::backend::{Fault, FaultyBackend, FileBackend};
-        let dir = std::env::temp_dir().join(format!("hvraid-resume-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let tmp = TempDir::new("hvraid-resume");
+        let dir = tmp.path();
         let code: Arc<dyn ArrayCode> = Arc::new(HvCode::new(7).unwrap());
         let rows = code.layout().rows();
         let data;
         {
-            let be = FileBackend::create(&dir, code.layout().cols(), 4 * rows, 16).unwrap();
+            let be = FileBackend::create(dir, code.layout().cols(), 4 * rows, 16).unwrap();
             let mut v = RaidVolume::new(Arc::clone(&code), 4, 16, Box::new(be)).unwrap();
             data = pattern(v.data_elements() * 16, 41);
             v.write(0, &data).unwrap();
@@ -2917,7 +2933,7 @@ mod tests {
         // Rebuild under a crash that fires deep enough for at least one
         // stripe's checkpoint to have landed.
         {
-            let be = FileBackend::open(&dir).unwrap();
+            let be = FileBackend::open(dir).unwrap();
             let faulty = FaultyBackend::new(Box::new(be), Vec::new())
                 .with_faults([Fault::CrashAtOp { at_op: 120 }]);
             let mut v = RaidVolume::open(Arc::clone(&code), Box::new(faulty), false).unwrap();
@@ -2928,7 +2944,7 @@ mod tests {
         }
         // Reopen: the checkpoint resumes the task past stripe 0 — not
         // from scratch — and the rebuild completes.
-        let be = FileBackend::open(&dir).unwrap();
+        let be = FileBackend::open(dir).unwrap();
         let mut v = RaidVolume::open(Arc::clone(&code), Box::new(be), false).unwrap();
         let cp = v.rebuild_progress().expect("checkpoint resumed a task");
         assert_eq!(cp.disks, vec![3]);
@@ -2939,7 +2955,6 @@ mod tests {
         let (bytes, _) = v.read(0, v.data_elements()).unwrap();
         assert_eq!(bytes, data);
         assert!(v.rebuild_progress().is_none(), "checkpoint cleared on completion");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -3045,25 +3060,24 @@ mod tests {
     #[test]
     fn drop_flushes_dirty_cache_to_file_backend() {
         use crate::backend::FileBackend;
-        let dir = std::env::temp_dir().join(format!("hvraid-cachedrop-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let tmp = TempDir::new("hvraid-cachedrop");
+        let dir = tmp.path();
         let code: Arc<dyn ArrayCode> = Arc::new(HvCode::new(7).unwrap());
         let rows = code.layout().rows();
         let data = pattern(10 * 16, 91);
         {
-            let be = FileBackend::create(&dir, code.layout().cols(), 4 * rows, 16).unwrap();
+            let be = FileBackend::create(dir, code.layout().cols(), 4 * rows, 16).unwrap();
             let mut v = RaidVolume::new(Arc::clone(&code), 4, 16, Box::new(be)).unwrap();
             v.enable_cache(CacheConfig::default());
             v.write(3, &data).unwrap();
             assert!(v.cache_dirty_stripes() > 0, "write-back defers the flush");
             // No explicit flush: the drop barrier must write it out.
         }
-        let be = FileBackend::open(&dir).unwrap();
+        let be = FileBackend::open(dir).unwrap();
         let mut v = RaidVolume::open(code, Box::new(be), false).unwrap();
         assert!(v.verify_all());
         let (bytes, _) = v.read(3, 10).unwrap();
         assert_eq!(bytes, data, "dropped volume must have flushed");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -3104,5 +3118,133 @@ mod tests {
         assert_eq!(bytes, data, "degraded replan must serve the write");
         v.rebuild().unwrap();
         assert!(v.verify_all());
+    }
+
+    /// Drives twin volumes with one seeded op stream through healthy →
+    /// one failure → two failures → rebuild. `memo` keeps its plan memo;
+    /// `fresh` clears it before every op, so each of its ops is planned
+    /// from scratch. Every op must return the same bytes and the same
+    /// I/O ledger on both.
+    fn twins_agree(code: &Arc<dyn ArrayCode>, rotate: bool, cached: bool, seed: u64) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let make = || {
+            let mut v = RaidVolume::with_rotation(Arc::clone(code), 4, 8, rotate);
+            if cached {
+                v.enable_cache(CacheConfig { max_stripes: 2, dirty_high_water: 1 });
+            }
+            v
+        };
+        let (mut memo, mut fresh) = (make(), make());
+        let ctx = format!("{} rotate={rotate} cached={cached} seed={seed}", code.name());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cap = memo.data_elements();
+        let span = 2 * memo.addressing.data_per_stripe();
+        let disks = memo.disks();
+        let first = rng.gen_range(0..disks);
+        let second = (first + rng.gen_range(1..disks)) % disks;
+        for phase in 0..4 {
+            fresh.clear_plan_memo();
+            match phase {
+                1 => {
+                    memo.fail_disk(first).unwrap();
+                    fresh.fail_disk(first).unwrap();
+                }
+                2 => {
+                    memo.fail_disk(second).unwrap();
+                    fresh.fail_disk(second).unwrap();
+                }
+                3 => assert_eq!(memo.rebuild().unwrap(), fresh.rebuild().unwrap(), "{ctx}"),
+                _ => {}
+            }
+            for op in 0..60 {
+                fresh.clear_plan_memo();
+                let start = rng.gen_range(0..cap);
+                let len = rng.gen_range(1..=(cap - start).min(span));
+                if rng.gen_bool(0.5) {
+                    let data = pattern(len * 8, rng.gen());
+                    let (a, b) = (memo.write(start, &data), fresh.write(start, &data));
+                    assert_eq!(a.unwrap(), b.unwrap(), "{ctx} phase {phase} op {op} write");
+                } else {
+                    let (a, b) = (memo.read(start, len), fresh.read(start, len));
+                    assert_eq!(a.unwrap(), b.unwrap(), "{ctx} phase {phase} op {op} read");
+                }
+            }
+            fresh.clear_plan_memo();
+            assert_eq!(memo.flush().unwrap(), fresh.flush().unwrap(), "{ctx} phase {phase}");
+        }
+        assert!(memo.verify_all() && fresh.verify_all(), "{ctx}");
+        assert_eq!(memo.read(0, cap).unwrap(), fresh.read(0, cap).unwrap(), "{ctx}");
+    }
+
+    #[test]
+    fn memoized_plans_match_fresh_planning_op_by_op() {
+        let codes: [Arc<dyn ArrayCode>; 2] =
+            [Arc::new(HvCode::new(7).unwrap()), Arc::new(RdpCode::new(7).unwrap())];
+        let mut seed = 0;
+        for code in &codes {
+            for rotate in [false, true] {
+                for cached in [false, true] {
+                    seed += 1;
+                    twins_agree(code, rotate, cached, seed);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memo_past_its_bound_still_matches_fresh_planning() {
+        // One p = 13 stripe has 120 data ordinals, so its (start, len)
+        // read shapes outnumber the memo's bound: the sweep wraps the
+        // table, and the shapes planned before the wrap are re-made.
+        let code: Arc<dyn ArrayCode> = Arc::new(HvCode::new(13).unwrap());
+        let mut memo = RaidVolume::in_memory(Arc::clone(&code), 1, 8);
+        let mut fresh = RaidVolume::in_memory(code, 1, 8);
+        let per = memo.data_elements();
+        let data = pattern(per * 8, 41);
+        memo.write(0, &data).unwrap();
+        fresh.write(0, &data).unwrap();
+        memo.fail_disk(0).unwrap();
+        fresh.fail_disk(0).unwrap();
+        let shapes: Vec<(usize, usize)> =
+            (0..per).flat_map(|s| (1..=per - s).map(move |l| (s, l))).collect();
+        assert!(shapes.len() > crate::memo::MEMO_SHAPES);
+        for &(start, len) in shapes.iter().chain(&shapes[..64]) {
+            fresh.clear_plan_memo();
+            let (a, b) = (memo.read(start, len).unwrap(), fresh.read(start, len).unwrap());
+            assert_eq!(a, b, "read ({start}, {len})");
+            assert_eq!(a.0, data[start * 8..(start + len) * 8], "read ({start}, {len})");
+        }
+        assert!(memo.memo.reads.len() < shapes.len(), "the table must have wrapped");
+    }
+
+    #[test]
+    fn a_recycled_cache_entry_serves_only_its_own_stripe() {
+        // A one-stripe cache. Stripe 0 is read whole; touching stripe 1
+        // evicts it, and touching stripe 2 then reuses stripe 0's fully
+        // present entry. Every ordinal of stripe 2 the cache has not
+        // filled must come from disk, not from the bytes stripe 0 left.
+        let mut v = volume(false);
+        let per = v.addressing.data_per_stripe();
+        let data = pattern(3 * per * 16, 23);
+        let image = |s: usize, k: usize| &data[(s * per + k) * 16..(s * per + k + 1) * 16];
+        v.write(0, &data).unwrap();
+        v.enable_cache(CacheConfig { max_stripes: 1, dirty_high_water: 1 });
+        assert_eq!(v.read(0, per).unwrap().0, data[..per * 16]);
+        for s in [1, 2] {
+            let (one, r) = v.read(s * per + 2, 1).unwrap();
+            assert_eq!((one.as_slice(), r.cache_evictions()), (image(s, 2), 1));
+        }
+        let (all2, r) = v.read(2 * per, per).unwrap();
+        assert_eq!(all2, data[2 * per * 16..]);
+        assert_eq!((r.cache_hits(), r.cache_misses()), (1, per as u64 - 1));
+        // A write into the recycled entry flushes only its own element.
+        let patch = pattern(16, 99);
+        v.write(2 * per + 5, &patch).unwrap();
+        v.flush().unwrap();
+        assert!(v.verify_all());
+        let mut expect = data.clone();
+        expect[(2 * per + 5) * 16..(2 * per + 6) * 16].copy_from_slice(&patch);
+        assert_eq!(v.read(0, 3 * per).unwrap().0, expect);
     }
 }

@@ -165,7 +165,9 @@ pub enum ServiceError {
     },
     /// The volume rejected or failed the op.
     Volume(VolumeError),
-    /// Malformed request (bad range, bad buffer length, unknown verb).
+    /// Malformed request (bad range, bad buffer length, unknown verb, or
+    /// an op longer than [`Service::max_op_elements`], which admission
+    /// could never accept).
     BadRequest(String),
     /// The service has shut down.
     Closed,
@@ -573,7 +575,9 @@ impl Service {
     }
 
     /// The largest op admission can ever accept, in data elements: a
-    /// full token bucket, and never more than the volume holds.
+    /// full token bucket, and never more than the volume holds. A longer
+    /// op is refused as [`ServiceError::BadRequest`], so a `READ` reply
+    /// carries at most this many elements.
     #[must_use]
     pub fn max_op_elements(&self) -> usize {
         usize::try_from(self.cfg.bucket_capacity).unwrap_or(usize::MAX).min(self.data_elements)
@@ -691,6 +695,14 @@ impl Service {
             return Err(ServiceError::BadRequest(format!(
                 "range [{addr}, {addr}+{len}) exceeds {} data elements",
                 self.data_elements
+            )));
+        }
+        // Longer than a full bucket: the op could never be admitted, so
+        // telling the client to retry it (`Throttled`) would be a lie.
+        let cap = self.max_op_elements();
+        if len > cap {
+            return Err(ServiceError::BadRequest(format!(
+                "op of {len} elements exceeds the {cap}-element cap per op"
             )));
         }
         Ok(len as u64)
@@ -973,8 +985,9 @@ impl ServiceHandle {
     /// # Errors
     ///
     /// [`ServiceError::Busy`] / [`ServiceError::Throttled`] on admission
-    /// rejection (retry later), [`ServiceError::Volume`] if the volume
-    /// fails the op.
+    /// rejection (retry later), [`ServiceError::BadRequest`] for a bad
+    /// range or more than [`Service::max_op_elements`] elements,
+    /// [`ServiceError::Volume`] if the volume fails the op.
     pub fn read(&self, addr: usize, len: usize) -> Result<Vec<u8>, ServiceError> {
         match self.svc.submit(self.session, self.epoch, OpKind::Read { addr, len })? {
             OpOutput::Read(bytes) => Ok(bytes),
@@ -1117,6 +1130,26 @@ mod tests {
                 Err(e) => panic!("unexpected admission error: {e}"),
             }
         }
+    }
+
+    /// An op longer than a full bucket can never be admitted: it is a
+    /// bad request naming the cap, not a `Throttled` to retry forever.
+    #[test]
+    fn ops_over_the_admission_cap_are_bad_requests() {
+        let cfg = ServiceConfig { bucket_capacity: 8, bucket_refill: 8, ..ServiceConfig::default() };
+        let svc = service(cfg);
+        assert_eq!(svc.max_op_elements(), 8);
+        let h = svc.session("t", TenantClass::Writer);
+        let es = svc.element_size();
+        for err in [h.read(0, 9).unwrap_err(), h.write(0, &vec![3u8; 9 * es]).unwrap_err()] {
+            match err {
+                ServiceError::BadRequest(m) => assert!(m.contains("8-element cap"), "{m}"),
+                e => panic!("expected bad-request, got {e}"),
+            }
+        }
+        // Ops at the cap are still served.
+        h.write(0, &vec![3u8; 8 * es]).unwrap();
+        assert_eq!(h.read(0, 8).unwrap(), vec![3u8; 8 * es]);
     }
 
     #[test]

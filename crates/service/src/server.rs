@@ -422,6 +422,7 @@ mod tests {
     use std::sync::Arc;
 
     use hv_code::HvCode;
+    use raid_array::testutil::TempDir;
     use raid_array::RaidVolume;
     use raid_core::ArrayCode;
 
@@ -429,8 +430,12 @@ mod tests {
 
     use super::*;
 
-    fn temp_socket(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("hvraid-test-{tag}-{}.sock", std::process::id()))
+    /// A socket path in a fresh directory that lives as long as the
+    /// returned guard.
+    fn temp_socket(tag: &str) -> (TempDir, PathBuf) {
+        let dir = TempDir::new(&format!("hvraid-sock-{tag}"));
+        let socket = dir.join("hv.sock");
+        (dir, socket)
     }
 
     #[test]
@@ -438,7 +443,7 @@ mod tests {
         let code: Arc<dyn ArrayCode> = Arc::new(HvCode::new(5).unwrap());
         let volume = RaidVolume::in_memory(code, 4, 8);
         let svc = Service::new(volume, ServiceConfig::default());
-        let socket = temp_socket("roundtrip");
+        let (_dir, socket) = temp_socket("roundtrip");
         let cfg = ServerConfig { socket: socket.clone(), workers: 2 };
 
         let server = {
@@ -474,7 +479,7 @@ mod tests {
         let code: Arc<dyn ArrayCode> = Arc::new(HvCode::new(5).unwrap());
         let volume = RaidVolume::in_memory(code, 4, 8);
         let svc = Service::new(volume, ServiceConfig::default());
-        let socket = temp_socket("idle-client");
+        let (_dir, socket) = temp_socket("idle-client");
         let cfg = ServerConfig { socket: socket.clone(), workers: 2 };
 
         let (done_tx, done_rx) = std::sync::mpsc::channel();
@@ -520,7 +525,7 @@ mod tests {
         let svc = Service::new(volume, cfg);
         let cap = max_line_bytes(&svc);
         assert_eq!(cap, 8 * 8 * 2 + LINE_HEADER_BYTES);
-        let socket = temp_socket("oversize");
+        let (_dir, socket) = temp_socket("oversize");
         let server = {
             let svc = Arc::clone(&svc);
             let cfg = ServerConfig { socket: socket.clone(), workers: 2 };
@@ -557,6 +562,12 @@ mod tests {
         assert!(reply.starts_with("ERR bad-request"), "got {reply:?}");
         let mut rest = String::new();
         assert_eq!(bad_reader.read_line(&mut rest).unwrap(), 0, "connection closed");
+
+        // A READ over the per-op cap is refused without closing the
+        // connection: a READ reply is bounded by the cap too.
+        let reply = exchange(&mut good, &mut good_reader, "READ 0 9");
+        assert!(reply.starts_with("ERR bad-request"), "{reply:?}");
+        assert!(reply.contains("8-element cap"), "{reply:?}");
 
         // The other client is still served.
         assert_eq!(exchange(&mut good, &mut good_reader, "READ 0 1"), "OK data 5a5a5a5a5a5a5a5a\n");
